@@ -6,68 +6,11 @@
 //! cached segment to many readers.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use lod_asf::{
-    write_asf, AsfFile, FileProperties, MediaSample, Packetizer, ScriptCommandList, StreamKind,
-    StreamProperties,
-};
+use lod_asf::{write_asf, MediaSample, Packetizer};
+use lod_bench::hotpath::{lecture_file, origin_segment, PACKET_SIZE};
 use lod_relay::{CachedSegment, SegmentCache};
-use lod_streaming::wire::{SegmentData, Wire};
+use lod_streaming::wire::Wire;
 use lod_transport::{decode_frame, encode_frame, WireCodec};
-
-const PACKET_SIZE: u32 = 1_400;
-
-fn lecture_file() -> AsfFile {
-    let mut pk = Packetizer::new(PACKET_SIZE).unwrap();
-    for i in 0..600 {
-        pk.push(&MediaSample::new(1, i * 1_000_000, vec![0xAB; 5_000]));
-    }
-    AsfFile {
-        props: FileProperties {
-            file_id: 15,
-            created: 0,
-            packet_size: PACKET_SIZE,
-            play_duration: 600_000_000,
-            preroll: 20_000_000,
-            broadcast: false,
-            max_bitrate: 400_000,
-        },
-        streams: vec![StreamProperties {
-            number: 1,
-            kind: StreamKind::Video,
-            codec: 4,
-            bitrate: 400_000,
-            name: "camera".into(),
-        }],
-        script: ScriptCommandList::new(),
-        drm: None,
-        packets: pk.finish(),
-        index: None,
-    }
-}
-
-fn origin_segment() -> Wire {
-    let mut pk = Packetizer::new(PACKET_SIZE).unwrap();
-    for i in 0..10 {
-        pk.push(&MediaSample::new(1, i * 1_000_000, vec![0x5A; 5_000]));
-    }
-    let mut packets = pk.finish();
-    packets.truncate(32);
-    Wire::Segment(SegmentData {
-        content: "lecture".into(),
-        segment: 5,
-        base_packet: 160,
-        total_packets: 1_600,
-        total_segments: 50,
-        segment_packets: 32,
-        packet_size: PACKET_SIZE,
-        packets,
-        header: None,
-        start_packet: Some(160),
-        at_time: Some(7_000_000),
-        epoch: 1,
-        trace: None,
-    })
-}
 
 fn bench_mux(c: &mut Criterion) {
     let file = lecture_file();

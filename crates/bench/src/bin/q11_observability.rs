@@ -45,34 +45,9 @@ const RELAY_STEER: usize = 14;
 /// Full-rate seats the origin's bitrate budget covers.
 const ORIGIN_SEATS: u64 = 16;
 
-fn parse_args() -> (u64, Option<String>, Option<String>, Option<String>) {
-    let mut seed = 7u64;
-    let mut json = None;
-    let mut events = None;
-    let mut prom = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            "--events" => events = Some(args.next().expect("--events takes a path")),
-            "--prom" => prom = Some(args.next().expect("--prom takes a path")),
-            other => panic!(
-                "unknown argument {other} (usage: q11_observability [--seed N] \
-                 [--json PATH] [--events PATH] [--prom PATH])"
-            ),
-        }
-    }
-    (seed, json, events, prom)
-}
-
 fn main() {
-    let (seed, json_path, events_path, prom_path) = parse_args();
+    let (seed, json_path, events_path, prom_path) =
+        lod_bench::parse_drill_args("q11_observability");
     println!("Q11 — observability: causal trace invariants under overload + chaos");
     println!(
         "({STUDENTS} students in waves of 32 every 2 s, {RELAYS} relays, \

@@ -51,34 +51,8 @@ const RELAY_STEER: usize = 8;
 /// Tick the origin node crashes at (for good).
 const ORIGIN_DIES_AT: u64 = 20 * SECOND;
 
-fn parse_args() -> (u64, Option<String>, Option<String>, Option<String>) {
-    let mut seed = 7u64;
-    let mut json = None;
-    let mut events = None;
-    let mut prom = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed takes an integer");
-            }
-            "--json" => json = Some(args.next().expect("--json takes a path")),
-            "--events" => events = Some(args.next().expect("--events takes a path")),
-            "--prom" => prom = Some(args.next().expect("--prom takes a path")),
-            other => panic!(
-                "unknown argument {other} (usage: q12_failover [--seed N] \
-                 [--json PATH] [--events PATH] [--prom PATH])"
-            ),
-        }
-    }
-    (seed, json, events, prom)
-}
-
 fn main() {
-    let (seed, json_path, events_path, prom_path) = parse_args();
+    let (seed, json_path, events_path, prom_path) = lod_bench::parse_drill_args("q12_failover");
     println!("Q12 — origin failover: warm-standby promotion under a mid-lecture crash");
     println!(
         "({STUDENTS} students, {RELAYS} relays, 1-minute lecture, origin dies at \

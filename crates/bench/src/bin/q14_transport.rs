@@ -32,8 +32,8 @@
 //! quickly.
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
+use lod_bench::median_ns;
 use lod_core::{serve_loopback_udp, synthetic_lecture, LoopbackConfig, Wmps};
 use lod_streaming::wire::{ControlRequest, Wire};
 use lod_transport::{decode_frame, encode_frame, WireCodec};
@@ -59,19 +59,6 @@ fn parse_args() -> Args {
         }
     }
     parsed
-}
-
-/// Median ns per call of `f` over `iters` timed samples.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
 }
 
 /// A 32 × 1400 B segment, the frame the relay tier actually ships.

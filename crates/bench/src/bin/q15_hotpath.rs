@@ -28,20 +28,16 @@
 //! Usage: `q15_hotpath [--json PATH]`
 
 use std::fmt::Write as _;
-use std::time::Instant;
 
-use lod_asf::{
-    write_asf, AsfFile, FileProperties, MediaSample, Packetizer, ScriptCommandList, StreamKind,
-    StreamProperties,
-};
+use lod_asf::write_asf;
+use lod_bench::hotpath::{lecture_file, origin_segment, PACKET_SIZE, SEGMENT_PACKETS};
+use lod_bench::median_ns;
 use lod_relay::{CachedSegment, SegmentCache};
-use lod_streaming::wire::{SegmentData, Wire};
+use lod_streaming::wire::Wire;
 use lod_transport::{decode_frame, encode_frame, WireCodec};
 
 const RELAYS: usize = 4;
 const READERS: usize = 256;
-const SEGMENT_PACKETS: u32 = 32;
-const PACKET_SIZE: u32 = 1_400;
 
 fn parse_args() -> Option<String> {
     let mut json = None;
@@ -53,76 +49,6 @@ fn parse_args() -> Option<String> {
         }
     }
     json
-}
-
-/// Median ns per call of `f` over `iters` timed samples.
-fn median_ns(iters: usize, mut f: impl FnMut()) -> u64 {
-    let mut samples: Vec<u64> = (0..iters)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_nanos() as u64
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// A 60-second ~400 kbit/s lecture, the mux workload.
-fn lecture_file() -> AsfFile {
-    let mut pk = Packetizer::new(PACKET_SIZE).unwrap();
-    for i in 0..600 {
-        pk.push(&MediaSample::new(1, i * 1_000_000, vec![0xAB; 5_000]));
-    }
-    AsfFile {
-        props: FileProperties {
-            file_id: 15,
-            created: 0,
-            packet_size: PACKET_SIZE,
-            play_duration: 600_000_000,
-            preroll: 20_000_000,
-            broadcast: false,
-            max_bitrate: 400_000,
-        },
-        streams: vec![StreamProperties {
-            number: 1,
-            kind: StreamKind::Video,
-            codec: 4,
-            bitrate: 400_000,
-            name: "camera".into(),
-        }],
-        script: ScriptCommandList::new(),
-        drm: None,
-        packets: pk.finish(),
-        index: None,
-    }
-}
-
-/// One relay-sized segment as the origin would answer a fetch: 32
-/// packets of fragments slicing a handful of large samples.
-fn origin_segment() -> Wire {
-    let mut pk = Packetizer::new(PACKET_SIZE).unwrap();
-    for i in 0..10 {
-        pk.push(&MediaSample::new(1, i * 1_000_000, vec![0x5A; 5_000]));
-    }
-    let mut packets = pk.finish();
-    packets.truncate(SEGMENT_PACKETS as usize);
-    assert_eq!(packets.len(), SEGMENT_PACKETS as usize);
-    Wire::Segment(SegmentData {
-        content: "lecture".into(),
-        segment: 5,
-        base_packet: 160,
-        total_packets: 1_600,
-        total_segments: 50,
-        segment_packets: SEGMENT_PACKETS,
-        packet_size: PACKET_SIZE,
-        packets,
-        header: None,
-        start_packet: Some(160),
-        at_time: Some(7_000_000),
-        epoch: 1,
-        trace: None,
-    })
 }
 
 /// Ships `frame` to every relay (real codec decode into one shared

@@ -37,6 +37,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use lod_bench::median;
 use lod_core::obs::TraceCtx;
 use lod_core::{
     check_causal, fmt_ticks, lecture_id, parse_jsonl, synthetic_lecture, Recorder, RelayTierConfig,
@@ -107,11 +108,6 @@ fn run_tier(wmps: &Wmps, file: &lod_asf::AsfFile, recorder: Recorder, permille: 
 }
 
 /// Median of `samples` (sorted in place, nearest-rank).
-fn median(samples: &mut [u64]) -> u64 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 fn main() {
     let (json_path, events_path) = parse_args();
     println!("Q17 — tracing plane: sampled-overhead contract + waterfall fidelity");

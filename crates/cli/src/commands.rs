@@ -213,8 +213,8 @@ fn replay(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 /// log (combine with `--metrics-out` and `--relays`).
 ///
 /// `--transport udp` swaps the discrete-event simulator for the real
-/// thing: origin, relays (default 2) and every student run as threads
-/// on localhost UDP sockets, exercising datagram framing, pacing and
+/// thing: origin, relays (default 2) and every student each get a
+/// localhost UDP socket, exercising datagram framing, pacing and
 /// reordering. Link shaping and the overload/standby knobs are
 /// simulator features and are ignored on udp; the udp arm instead
 /// takes `--repair on|off`, `--retry-budget N`, `--loss-permille N`
@@ -380,7 +380,7 @@ fn serve(args: &Args, out: &mut impl Write) -> Result<(), CliError> {
 /// `--trace-permille N` samples N‰ of segments for end-to-end tracing
 /// across the real sockets (contexts ride the UDP frame headers);
 /// `--events-out PATH` records every node's events and writes the
-/// tick-merged JSONL to `PATH` for `wmps report` / `wmps trace`.
+/// JSONL log to `PATH` for `wmps report` / `wmps trace`.
 fn serve_udp(
     path: &str,
     file: lod_asf::AsfFile,

@@ -32,6 +32,7 @@ pub mod floor;
 pub mod loopback;
 pub mod presentation;
 pub mod replay;
+mod tier;
 pub mod wmps;
 
 pub use abstractor::Abstractor;

@@ -1,43 +1,43 @@
-//! Loopback deployment: the relay tier as real threads on real sockets.
+//! Loopback deployment: the relay tier on real localhost UDP sockets.
 //!
 //! [`serve_loopback_udp`] stands up the same origin → relay → student
-//! topology that [`crate::Wmps::serve_with_relays`] simulates, except
-//! every node is an OS thread driving a [`UdpTransport`] over
-//! `127.0.0.1` sockets. The state machines are the *same types* the
-//! simulator runs — `StreamingServer`, `RelayNode`, `StreamingClient` —
-//! reached through the [`Transport`] trait, so a lecture that completes
-//! here demonstrates the whole protocol stack survives contact with an
-//! actual kernel: datagram framing, reordering, pacing, and wall-clock
-//! scheduling.
+//! tier that [`crate::Wmps::serve_with_relays`] simulates and drives it
+//! with the same step, except every node owns a real [`UdpTransport`]
+//! on `127.0.0.1`. A private mesh puts those sockets behind one
+//! [`Transport`]: a send leaves through the sender's own socket, a poll
+//! drains every socket. Students address the origin and the redirect
+//! manager steers them to relays, as on simnet. A lecture that completes
+//! here shows the protocol stack survives a real kernel: datagram
+//! framing, reordering, pacing, and wall-clock scheduling.
 //!
-//! Clocking: all threads share one epoch `Instant` and convert elapsed
-//! wall time to ticks through a common acceleration factor, so a
-//! minutes-long lecture plays out in seconds while every state machine
-//! still sees a consistent tick timeline. The run is therefore only
+//! Clocking: one thread steps the tier about every 200 µs and maps
+//! elapsed wall time to ticks through an acceleration factor, so a
+//! minutes-long lecture plays out in seconds. The run is therefore only
 //! statistically reproducible — it is gated on *outcomes* (every client
 //! finishes, nobody is abandoned, sample counts reconcile with a simnet
 //! run of the same file), never on byte-diffs.
 
-use std::net::{SocketAddr, UdpSocket};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use lod_asf::AsfFile;
 use lod_obs::{EventRecord, Recorder};
-use lod_relay::{RelayMetrics, RelayNode};
-use lod_simnet::NodeId;
+use lod_relay::RelayMetrics;
+use lod_simnet::{Delivery, NetworkError, NodeId};
 use lod_streaming::wire::Wire;
-use lod_streaming::{ClientMetrics, RetryPolicy, ServerMetrics, StreamingClient, StreamingServer};
+use lod_streaming::{ClientMetrics, RetryPolicy, ServerMetrics};
 use lod_transport::{FaultSpec, ReorderStats, Transport, TransportStats, UdpConfig, UdpTransport};
+
+use crate::tier::{Tier, TierNodes};
+use crate::wmps::RelayTierConfig;
 
 /// Knobs for a [`serve_loopback_udp`] run.
 #[derive(Debug, Clone)]
 pub struct LoopbackConfig {
     /// Edge relays between the origin and the students.
     pub relays: usize,
-    /// Student clients, split round-robin across the relays.
+    /// Student clients. Each asks the origin, whose redirect manager
+    /// steers it to the least-loaded relay.
     pub clients: usize,
     /// Socket-level transport knobs applied to every node.
     pub udp: UdpConfig,
@@ -49,8 +49,8 @@ pub struct LoopbackConfig {
     /// shared clock by `accel` tick-seconds, so a lecture plays out
     /// `accel`× faster than real time.
     pub accel: u64,
-    /// Hard wall-clock ceiling; threads that have not finished by then
-    /// stop and report whatever state they reached.
+    /// Hard wall-clock ceiling; a run that has not finished by then
+    /// stops and reports whatever state it reached.
     pub wall_deadline: Duration,
     /// Seeded egress fault injection applied at the origin and relay
     /// tiers — the media direction, where loss actually hurts playback.
@@ -58,14 +58,16 @@ pub struct LoopbackConfig {
     /// measurement. `None` leaves the wire untouched.
     pub fault: Option<FaultSpec>,
     /// Application-level retry policy for the clients (re-Play from the
-    /// playback horizon on prolonged silence), salted per client. On a
-    /// clean wire it never fires; under fault injection it is the
-    /// recovery of last resort when even transport repair gives up.
+    /// playback horizon on prolonged silence), salted per client off a
+    /// fixed seed. On a clean wire it never fires; under fault injection
+    /// it is the recovery of last resort when even transport repair
+    /// gives up.
     pub client_retry: Option<RetryPolicy>,
-    /// When set, every node records transport repair events (NACKs,
-    /// retransmits, give-ups, gap skips) and the report carries them
-    /// merged in causal order: clients first, then relays, then the
-    /// origin — each receiver's NACK precedes its sender's retransmit.
+    /// When set, every node records into one shared recorder — transport
+    /// repair events (NACKs, retransmits, give-ups, gap skips) included —
+    /// and the report carries the log in emission order, which one
+    /// thread makes causal: each receiver's NACK precedes its sender's
+    /// retransmit.
     pub record_events: bool,
     /// Per-mille of segments traced end-to-end across the deployment
     /// (relays mint the contexts, the UDP frames carry them, every node
@@ -110,7 +112,8 @@ pub struct LoopbackReport {
     pub transport: TransportStats,
     /// Reorder-buffer counters merged across every node.
     pub reorder: ReorderStats,
-    /// Clients whose playback ran to completion.
+    /// Clients that rendered media and were never abandoned (the rule of
+    /// [`crate::WmpsReport::completed_sessions`]).
     pub completed: usize,
     /// Clients that gave up (must be 0 on a healthy loopback).
     pub abandoned: usize,
@@ -118,19 +121,101 @@ pub struct LoopbackReport {
     /// fetch retries. The number transport repair exists to shrink —
     /// every one is a round trip the playback deadline pays for.
     pub rerequests: u64,
-    /// Transport repair events from every node, merged and sorted by
-    /// tick (all threads share one epoch, so cross-node timestamps are
-    /// comparable and a cause always ticks before its effect). Empty
-    /// unless [`LoopbackConfig::record_events`] was set. Feed to
+    /// Every node's events in emission order. Empty unless
+    /// [`LoopbackConfig::record_events`] was set. Feed to
     /// [`lod_obs::check_causal`] to prove repair causality.
     pub events: Vec<EventRecord>,
     /// Wall time the deployment ran for.
     pub wall: Duration,
 }
 
-/// Shared address book: every node's socket address, indexed like the
-/// node ids (0 = origin, 1..=relays = relays, rest = clients).
-type AddressBook = Arc<Vec<(NodeId, SocketAddr)>>;
+/// Ring size of the shared recorder. The lossy chaos drill (a 1-minute
+/// lecture to 32 students under 12% loss) records under 20 000 events,
+/// so its causal checks always see the whole log.
+const EVENT_CAPACITY: usize = 1 << 18;
+
+/// Seed of the clients' retry jitter salts.
+const RETRY_SEED: u64 = 0;
+
+/// Every node's socket, indexed by node id, behind one [`Transport`].
+/// Each call names its sender, so it goes to the sender's own socket.
+struct UdpMesh {
+    nodes: Vec<UdpTransport<Wire>>,
+    now: u64,
+}
+
+impl UdpMesh {
+    /// Binds `n` localhost sockets (node `i` on the `i`th) and introduces
+    /// every node to every other.
+    fn bind(n: usize, udp: UdpConfig, obs: &Recorder) -> Self {
+        let mut nodes: Vec<UdpTransport<Wire>> = (0..n)
+            .map(|i| {
+                UdpTransport::bind_localhost(NodeId::from_index(i), udp)
+                    .expect("bind loopback socket")
+                    .with_recorder(obs.clone())
+            })
+            .collect();
+        let book: Vec<_> = nodes.iter().map(|t| (t.node(), t.local_addr())).collect();
+        for t in &mut nodes {
+            for &(peer, addr) in &book {
+                if peer != t.node() {
+                    t.register_peer(peer, addr);
+                }
+            }
+        }
+        Self { nodes, now: 0 }
+    }
+
+    fn set_now(&mut self, now: u64) {
+        self.now = now;
+        for t in &mut self.nodes {
+            t.set_manual_now(now);
+        }
+    }
+}
+
+impl Transport<Wire> for UdpMesh {
+    fn send(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        message: Wire,
+    ) -> Result<(), NetworkError> {
+        self.nodes[src.index()].send(src, dst, bytes, message)
+    }
+
+    fn send_reliable(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        bytes: u64,
+        message: Wire,
+    ) -> Result<(), NetworkError> {
+        self.nodes[src.index()].send_reliable(src, dst, bytes, message)
+    }
+
+    fn first_hop_backlog(&self, src: NodeId, dst: NodeId) -> Option<u64> {
+        self.nodes[src.index()].first_hop_backlog(src, dst)
+    }
+
+    fn now(&self) -> u64 {
+        self.now
+    }
+
+    fn link_up(&self, src: NodeId, dst: NodeId) -> bool {
+        self.nodes[src.index()].link_up(src, dst)
+    }
+
+    fn poll(&mut self, now: u64) -> Vec<Delivery<Wire>> {
+        self.set_now(now);
+        let mut out = Vec::new();
+        for t in &mut self.nodes {
+            out.extend(t.poll(now));
+        }
+        out
+    }
+}
 
 fn ticks_since(epoch: Instant, accel: u64) -> u64 {
     // 1 tick = 100 ns of *simulated* time; one wall nanosecond counts
@@ -139,233 +224,78 @@ fn ticks_since(epoch: Instant, accel: u64) -> u64 {
     (nanos / 100).saturating_mul(accel)
 }
 
-fn transport_for(
-    node: NodeId,
-    socket: UdpSocket,
-    book: &AddressBook,
-    udp: UdpConfig,
-) -> UdpTransport<Wire> {
-    let mut t = UdpTransport::from_socket(node, socket, udp).expect("socket already bound");
-    for &(peer, addr) in book.iter() {
-        if peer != node {
-            t.register_peer(peer, addr);
-        }
-    }
-    t
-}
-
-/// Serves `file` through an origin + relay tier + clients, each a real
-/// thread on a real localhost UDP socket, until every client finishes
-/// (or the wall deadline passes).
+/// Serves `file` through an origin + relay tier + clients on real
+/// localhost UDP sockets, stepping the tier from this thread until every
+/// client finishes (or the wall deadline passes).
 ///
 /// # Panics
 ///
-/// Panics when localhost sockets cannot be bound or a node thread
-/// panics — both mean the host cannot run the deployment at all.
+/// Panics when localhost sockets cannot be bound — the host cannot run
+/// the deployment at all.
 pub fn serve_loopback_udp(file: AsfFile, cfg: &LoopbackConfig) -> LoopbackReport {
     assert!(cfg.relays > 0, "a relay tier needs at least one relay");
     assert!(cfg.accel > 0, "acceleration must be positive");
-    let n_nodes = 1 + cfg.relays + cfg.clients;
-    // Bind every socket up front on the main thread: `UdpTransport` is
-    // not `Send` (it can carry an `Rc` recorder), but a bare
-    // `UdpSocket` is, so each thread assembles its own transport from
-    // a pre-bound socket and the shared address book.
-    let mut sockets = Vec::with_capacity(n_nodes);
-    let mut book = Vec::with_capacity(n_nodes);
-    for i in 0..n_nodes {
-        let node = NodeId::from_index(i);
-        let socket = UdpSocket::bind("127.0.0.1:0").expect("bind loopback socket");
-        book.push((node, socket.local_addr().expect("bound socket has addr")));
-        sockets.push(socket);
-    }
-    let book: AddressBook = Arc::new(book);
-    let origin = book[0].0;
-    let relay_ids: Vec<NodeId> = (1..=cfg.relays).map(|i| book[i].0).collect();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let epoch = Instant::now();
-    let accel = cfg.accel;
-    let udp = cfg.udp;
-    let deadline = cfg.wall_deadline;
-    let fault = cfg.fault.clone();
-    let client_retry = cfg.client_retry;
-    let record_events = cfg.record_events;
-    let trace_permille = cfg.trace_permille;
-    let recorder_for = move || {
-        if record_events {
-            Recorder::with_event_capacity(1 << 16)
-        } else {
-            Recorder::disabled()
+    let obs = if cfg.record_events {
+        Recorder::with_event_capacity(EVENT_CAPACITY)
+    } else {
+        Recorder::disabled()
+    };
+    let tier_cfg = RelayTierConfig {
+        relays: cfg.relays,
+        client_retry: cfg.client_retry,
+        trace_permille: cfg.trace_permille,
+        recorder: obs.clone(),
+        ..RelayTierConfig::default()
+    };
+    let mut mesh = UdpMesh::bind(1 + cfg.relays + cfg.clients, cfg.udp, &obs);
+    // The media direction — origin and relay egress — is where loss
+    // hurts playback; client egress stays clean.
+    if let Some(spec) = &cfg.fault {
+        for t in &mut mesh.nodes[..=cfg.relays] {
+            t.set_egress_faults(spec.clone());
         }
+    }
+    let nodes = TierNodes {
+        origin: NodeId::from_index(0),
+        relays: (1..=cfg.relays).map(NodeId::from_index).collect(),
+        students: (1 + cfg.relays..1 + cfg.relays + cfg.clients)
+            .map(NodeId::from_index)
+            .collect(),
+        standby: None,
     };
+    let mut tier =
+        Tier::new(&tier_cfg, nodes, file, RETRY_SEED).with_segment_packets(cfg.segment_packets);
 
-    let mut sockets = sockets.into_iter();
+    let epoch = Instant::now();
+    loop {
+        let now = ticks_since(epoch, cfg.accel);
+        // Sends made before the step's poll carry this step's tick.
+        mesh.set_now(now);
+        tier.step(&mut mesh, now, |_, _| {});
+        if tier.done() || epoch.elapsed() >= cfg.wall_deadline {
+            break;
+        }
+        thread::sleep(Duration::from_micros(200));
+    }
 
-    // Origin thread: publish, then serve whatever the relays fetch.
-    let origin_thread = {
-        let socket = sockets.next().expect("origin socket");
-        let book = Arc::clone(&book);
-        let stop = Arc::clone(&stop);
-        let segment_packets = cfg.segment_packets;
-        let file = file.clone();
-        let fault = fault.clone();
-        thread::spawn(move || {
-            let obs = recorder_for();
-            let mut t = transport_for(origin, socket, &book, udp).with_recorder(obs.clone());
-            if let Some(spec) = fault {
-                t.set_egress_faults(spec);
-            }
-            let mut server = StreamingServer::new(origin)
-                .with_segment_packets(segment_packets)
-                .with_recorder(obs.clone());
-            server.publish("lecture", file);
-            while !stop.load(Ordering::Relaxed) {
-                let now = ticks_since(epoch, accel);
-                t.set_manual_now(now);
-                for d in t.poll(now) {
-                    server.on_message(&mut t, d.time, d.src, d.message);
-                }
-                server.poll(&mut t, now);
-                thread::sleep(Duration::from_micros(200));
-            }
-            (
-                server.metrics(),
-                *t.stats(),
-                t.reorder_stats(),
-                obs.events(),
-            )
-        })
-    };
-
-    // Relay threads: pull segments from the origin, fan out locally.
-    let relay_threads: Vec<_> = relay_ids
-        .iter()
-        .map(|&me| {
-            let socket = sockets.next().expect("relay socket");
-            let book = Arc::clone(&book);
-            let stop = Arc::clone(&stop);
-            let fault = fault.clone();
-            thread::spawn(move || {
-                let obs = recorder_for();
-                let mut t = transport_for(me, socket, &book, udp).with_recorder(obs.clone());
-                if let Some(spec) = fault {
-                    t.set_egress_faults(spec);
-                }
-                let mut relay = RelayNode::new(me, origin, 64 << 20)
-                    .with_prefetch(true)
-                    .with_recorder(obs.clone())
-                    .with_trace_permille(trace_permille);
-                relay.serve_vod("lecture");
-                while !stop.load(Ordering::Relaxed) {
-                    let now = ticks_since(epoch, accel);
-                    t.set_manual_now(now);
-                    for d in t.poll(now) {
-                        relay.on_message(&mut t, d.time, d.src, d.message);
-                    }
-                    relay.poll(&mut t, now);
-                    thread::sleep(Duration::from_micros(200));
-                }
-                (relay.metrics(), *t.stats(), t.reorder_stats(), obs.events())
-            })
-        })
-        .collect();
-
-    // Client threads: play at an assigned relay until done.
-    let client_threads: Vec<_> = (0..cfg.clients)
-        .map(|i| {
-            let me = book[1 + cfg.relays + i].0;
-            let home = relay_ids[i % relay_ids.len()];
-            let socket = sockets.next().expect("client socket");
-            let book = Arc::clone(&book);
-            thread::spawn(move || {
-                let obs = recorder_for();
-                let mut t = transport_for(me, socket, &book, udp).with_recorder(obs.clone());
-                let mut c = StreamingClient::new(me, home, "lecture").with_recorder(obs.clone());
-                if let Some(policy) = client_retry {
-                    c = c.with_retry(policy, i as u64);
-                }
-                t.set_manual_now(ticks_since(epoch, accel));
-                c.start(&mut t);
-                loop {
-                    let now = ticks_since(epoch, accel);
-                    t.set_manual_now(now);
-                    for d in t.poll(now) {
-                        c.on_message(d.time, d.message);
-                    }
-                    c.tick(now);
-                    c.poll_adaptive(&mut t);
-                    c.poll_redirect(&mut t);
-                    c.poll_busy(&mut t, now);
-                    c.poll_recovery(&mut t, now);
-                    if c.is_done() || c.is_abandoned() || epoch.elapsed() >= deadline {
-                        break;
-                    }
-                    thread::sleep(Duration::from_micros(200));
-                }
-                (
-                    *c.metrics(),
-                    c.is_done(),
-                    *t.stats(),
-                    t.reorder_stats(),
-                    obs.events(),
-                )
-            })
-        })
-        .collect();
-
-    let mut clients = Vec::with_capacity(cfg.clients);
+    let clients: Vec<ClientMetrics> = tier.clients.iter().map(|c| *c.metrics()).collect();
+    let (_, relay) = tier.relay_totals();
     let mut transport = TransportStats::default();
     let mut reorder = ReorderStats::default();
-    let mut completed = 0;
-    let mut abandoned = 0;
-    // Every node is both sender and receiver (relays NACK the origin
-    // *and* retransmit to clients), so no concatenation order is
-    // causally consistent — the merged log is sorted by tick instead.
-    let mut events = Vec::new();
-    for h in client_threads {
-        let (metrics, done, tstats, rstats, ev) = h.join().expect("client thread");
-        transport.merge(&tstats);
-        reorder.merge(&rstats);
-        events.extend(ev);
-        if done {
-            completed += 1;
-        }
-        if metrics.abandoned {
-            abandoned += 1;
-        }
-        clients.push(metrics);
+    for t in &mesh.nodes {
+        transport.merge(t.stats());
+        reorder.merge(&t.reorder_stats());
     }
-    // All clients have exited; wind down the tier.
-    stop.store(true, Ordering::Relaxed);
-    let mut relay = RelayMetrics::default();
-    for h in relay_threads {
-        let (metrics, tstats, rstats, ev) = h.join().expect("relay thread");
-        relay += metrics;
-        transport.merge(&tstats);
-        reorder.merge(&rstats);
-        events.extend(ev);
-    }
-    let (server, tstats, rstats, ev) = origin_thread.join().expect("origin thread");
-    transport.merge(&tstats);
-    reorder.merge(&rstats);
-    events.extend(ev);
-    // Shared epoch + stable sort: cross-node causality becomes log
-    // order (a NACK's socket flight is hundreds of ticks, never zero),
-    // while each node's own events keep their emit order.
-    events.sort_by_key(|e| e.at);
-
-    let rerequests = clients.iter().map(|m| m.retries).sum::<u64>() + relay.fetch_retries;
-
     LoopbackReport {
+        completed: clients.iter().filter(|c| c.completed()).count(),
+        abandoned: clients.iter().filter(|c| c.abandoned).count(),
+        rerequests: clients.iter().map(|m| m.retries).sum::<u64>() + relay.fetch_retries,
         clients,
-        server,
+        server: tier.server.metrics(),
         relay,
         transport,
         reorder,
-        completed,
-        abandoned,
-        rerequests,
-        events,
+        events: obs.events(),
         wall: epoch.elapsed(),
     }
 }

@@ -5,15 +5,17 @@
 //! clients over the simulated network; a live classroom runs the encoder
 //! in real time and relays to everyone watching.
 
+use std::collections::HashMap;
+
 use lod_asf::{AsfError, AsfFile};
 use lod_encoder::{BandwidthProfile, BroadcastConfig, LiveEncoder, Publisher};
 use lod_media::Ticks;
-use lod_obs::{Event, Recorder, TICK_BOUNDS};
+use lod_obs::{Recorder, TICK_BOUNDS};
 use lod_player::SkewStats;
-use lod_relay::{
-    CacheStats, FailoverConfig, HeartbeatMonitor, RedirectManager, RelayMetrics, RelayNode,
+use lod_relay::{CacheStats, FailoverConfig, RelayMetrics};
+use lod_simnet::{
+    relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, NodeId, RelayTree,
 };
-use lod_simnet::{relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, RelayTree};
 use lod_streaming::{
     run_to_completion, AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed,
     RetryPolicy, ServerMetrics, StreamHeader, StreamingClient, StreamingServer, Wire,
@@ -21,6 +23,7 @@ use lod_streaming::{
 use serde::{Deserialize, Serialize};
 
 use crate::presentation::Lecture;
+use crate::tier::{Tier, TierNodes};
 
 /// Quality outcome of one served replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -111,10 +114,7 @@ impl WmpsReport {
     /// retry layer — the "students who actually saw the lecture" count
     /// the chaos experiments grade on.
     pub fn completed_sessions(&self) -> usize {
-        self.clients
-            .iter()
-            .filter(|c| c.samples_rendered > 0 && !c.abandoned)
-            .count()
+        self.clients.iter().filter(|c| c.completed()).count()
     }
 
     /// Clients explicitly refused with [`Wire::Busy`] until their bounce
@@ -224,7 +224,6 @@ fn publish_run_metrics(obs: &Recorder, report: &WmpsReport) {
 /// Spread of each script firing across clients (see
 /// [`WmpsReport::classroom_spread`]).
 fn classroom_spread(events: &[lod_streaming::RenderEvent]) -> SkewStats {
-    use std::collections::HashMap;
     let mut groups: HashMap<(u64, &str), Vec<u64>> = HashMap::new();
     for e in events {
         if let Some(cmd) = &e.script {
@@ -247,10 +246,14 @@ fn per_client_skew(
     clients: &[StreamingClient],
     events: &[lod_streaming::RenderEvent],
 ) -> Vec<SkewStats> {
+    let mut by_client: HashMap<NodeId, Vec<&lod_streaming::RenderEvent>> = HashMap::new();
+    for e in events {
+        by_client.entry(e.client).or_default().push(e);
+    }
     clients
         .iter()
         .map(|c| {
-            let mine: Vec<_> = events.iter().filter(|e| e.client == c.node()).collect();
+            let mine = by_client.get(&c.node()).map_or(&[][..], Vec::as_slice);
             let anchor = mine
                 .iter()
                 .map(|e| e.wall_time.saturating_sub(e.pres_time))
@@ -262,6 +265,14 @@ fn per_client_skew(
                     .collect(),
             )
         })
+        .collect()
+}
+
+/// Every client's recovered outage durations, client by client.
+fn recoveries(clients: &[StreamingClient]) -> Vec<u64> {
+    clients
+        .iter()
+        .flat_map(|c| c.recovery_log().iter().map(|&(_, dur)| dur))
         .collect()
 }
 
@@ -531,7 +542,7 @@ impl Wmps {
             cfg.relays,
             n_clients,
         );
-        let obs = cfg.recorder.clone();
+        let obs = &cfg.recorder;
         obs.label_node(tree.origin.index() as u64, "origin");
         obs.label_node(tree.router.index() as u64, "router");
         for (i, r) in tree.relays.iter().enumerate() {
@@ -540,305 +551,90 @@ impl Wmps {
         for (i, s) in tree.students.iter().enumerate() {
             obs.label_node(s.index() as u64, &format!("student{i}"));
         }
-        let mut server = StreamingServer::new(tree.origin).with_recorder(obs.clone());
-        if let Some(t) = cfg.idle_timeout {
-            server = server.with_idle_timeout(t);
-        }
-        if let Some(adm) = cfg.origin_admission {
-            server = server.with_admission(adm);
-        }
-        if let Some(deg) = cfg.degrade {
-            server = server.with_degrade(deg);
-        }
-        if let Some(f) = cfg.failover {
-            server = server.with_checkpointing(f.checkpoint_every);
-        }
-        for &r in &tree.relays {
-            // A relay's one shared fetch/live subscription must never be
-            // bounced: shedding it would shed a whole campus.
-            server.exempt_from_admission(r);
-        }
-        // The warm standby: same catalog, same knobs, zero sessions. It
-        // sits behind the router like the origin does, applies the
-        // replicated checkpoint journal every driver step, and answers
-        // nothing until promoted (Plays bounce toward the primary).
-        let mut standby = cfg.failover.map(|f| {
+        // The warm standby sits behind the router like the origin does.
+        let standby = cfg.failover.map(|_| {
             let sb = net.add_node("standby");
             obs.label_node(sb.index() as u64, "standby");
             net.connect_bidirectional(sb, tree.router, uplink);
-            let peers: Vec<lod_simnet::NodeId> = std::iter::once(tree.origin)
+            let peers = std::iter::once(tree.origin)
                 .chain(tree.relays.iter().copied())
-                .chain(tree.students.iter().copied())
-                .collect();
-            for &p in &peers {
+                .chain(tree.students.iter().copied());
+            for p in peers {
                 net.set_next_hop(sb, p, tree.router);
                 net.set_next_hop(p, sb, tree.router);
             }
-            let mut sb_srv = StreamingServer::new(sb)
-                .with_recorder(obs.clone())
-                .with_checkpointing(f.checkpoint_every)
-                .as_standby();
-            if let Some(t) = cfg.idle_timeout {
-                sb_srv = sb_srv.with_idle_timeout(t);
-            }
-            if let Some(adm) = cfg.origin_admission {
-                sb_srv = sb_srv.with_admission(adm);
-            }
-            if let Some(deg) = cfg.degrade {
-                sb_srv = sb_srv.with_degrade(deg);
-            }
-            for &r in &tree.relays {
-                sb_srv.exempt_from_admission(r);
-            }
-            sb_srv.publish("lecture", file.clone());
-            let monitor = HeartbeatMonitor::new(sb, tree.origin, f).with_recorder(obs.clone());
-            (sb, sb_srv, monitor)
+            sb
         });
-        server.publish("lecture", file);
-        let mut relays: Vec<RelayNode> = tree
-            .relays
-            .iter()
-            .map(|&r| {
-                let mut relay = RelayNode::new(r, tree.origin, cfg.cache_budget)
-                    .with_prefetch(cfg.prefetch)
-                    .with_recorder(obs.clone())
-                    .with_trace_permille(cfg.trace_permille);
-                if let Some(adm) = cfg.relay_admission {
-                    relay = relay.with_admission(adm);
-                }
-                if let Some(b) = cfg.breaker {
-                    relay = relay.with_breaker(b);
-                }
-                relay.serve_vod("lecture");
-                relay
-            })
-            .collect();
-        let mut redirect = RedirectManager::new(tree.origin, tree.relays.clone());
-        if let Some(seats) = cfg.relay_capacity_sessions {
-            redirect = redirect.with_relay_capacity(seats);
-        }
-        let mut clients: Vec<StreamingClient> = tree
-            .students
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| {
-                let client =
-                    StreamingClient::new(c, tree.origin, "lecture").with_recorder(obs.clone());
-                match cfg.client_retry {
-                    // Per-student salt: distinct jitter streams, same seed
-                    // → same storm of retries on every run.
-                    Some(policy) => client.with_retry(
-                        policy,
-                        seed.wrapping_add((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                    ),
-                    None => client,
-                }
-            })
-            .collect();
-        // Arrival schedule: all at 0, or a flash crowd in waves.
-        let start_at: Vec<u64> = (0..clients.len())
-            .map(|i| match cfg.arrival_wave {
-                Some((wave, interval)) => (i / wave.max(1)) as u64 * interval,
-                None => 0,
-            })
-            .collect();
-        let mut started = vec![false; clients.len()];
+        let nodes = TierNodes {
+            origin: tree.origin,
+            relays: tree.relays.clone(),
+            students: tree.students.clone(),
+            standby,
+        };
+        let mut tier = Tier::new(cfg, nodes, file, seed);
         let mut injector = FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(obs.clone());
 
         const STEP: u64 = 1_000_000; // 100 ms
         let horizon = play_duration * 20 + 600_000_000_000;
         let mut now = 0u64;
-        let mut events = Vec::new();
         let mut reattached = 0usize;
         let mut faults_applied = 0u64;
         let mut failed = false;
-        let mut checkpoints_replicated = 0u64;
-        let mut stale_epoch_replies = 0u64;
-        let mut promoted_at: Option<u64> = None;
-        let mut promoted_epoch: Option<u64> = None;
         while now <= horizon {
-            for (i, c) in clients.iter_mut().enumerate() {
-                if !started[i] && now >= start_at[i] {
-                    c.start(&mut net);
-                    started[i] = true;
-                }
-            }
-            if let Some(at) = cfg.fail_first_at {
-                if !failed && now >= at && !tree.relays.is_empty() {
-                    // The relay drops off the network; the manager
-                    // re-homes its students.
-                    let victim = tree.relays[0];
-                    net.disconnect(tree.router, victim);
-                    net.disconnect(victim, tree.router);
-                    reattached = redirect.fail_relay(&mut net, victim).len();
-                    failed = true;
-                }
-            }
-            for fault in injector.poll(&mut net, now) {
-                faults_applied += 1;
-                // A crashed relay strands its students until the redirect
-                // manager re-homes them; the wire is already dark, so the
-                // redirects ride out through the (healthy) origin links.
-                if let Fault::NodeDown { node } = fault {
-                    if tree.relays.contains(&node) {
-                        reattached += redirect.fail_relay(&mut net, node).len();
-                    } else if node == tree.origin {
-                        // The crash wipes the origin's volatile session
-                        // state; only the journal already replicated to
-                        // the standby survives it.
-                        server.crash();
+            tier.step(&mut net, now, |tier, net| {
+                if let Some(at) = cfg.fail_first_at {
+                    if !failed && now >= at && !tree.relays.is_empty() {
+                        // The relay drops off the network; the manager
+                        // re-homes its students.
+                        let victim = tree.relays[0];
+                        net.disconnect(tree.router, victim);
+                        net.disconnect(victim, tree.router);
+                        reattached = tier.redirect.fail_relay(net, victim).len();
+                        failed = true;
                     }
                 }
-            }
-            server.poll(&mut net, now);
-            if let Some((sb, sb_srv, monitor)) = standby.as_mut() {
-                // Replicate: whatever the primary journaled this step is
-                // applied to the standby's replica — the replication lag
-                // is bounded by one driver step on top of the journal's
-                // own checkpoint cadence.
-                let entries = server.journal_drain();
-                checkpoints_replicated += entries.len() as u64;
-                sb_srv.apply_journal(&entries);
-                if monitor.poll(&mut net, now) {
-                    // The origin is dead. Promote the standby one epoch
-                    // past the primary's, re-point every relay uplink
-                    // (deterministic Vec order), re-front the redirect
-                    // manager, re-home every client, and keep fencing
-                    // the old origin so a heal demotes it.
-                    let epoch = server.epoch() + 1;
-                    obs.emit(
-                        now,
-                        Event::FailoverStart {
-                            from: tree.origin.index() as u64,
-                            to: sb.index() as u64,
-                            misses: u64::from(monitor.misses()),
-                        },
-                    );
-                    sb_srv.promote(epoch, now);
-                    for r in relays.iter_mut() {
-                        r.retarget_origin(*sb, epoch, now);
-                    }
-                    let _ = redirect.retarget_origin(&mut net, *sb);
-                    for c in clients.iter_mut() {
-                        c.retarget_home(tree.origin, *sb);
-                    }
-                    monitor.fence(tree.origin, epoch);
-                    promoted_at = Some(now);
-                    promoted_epoch = Some(epoch);
-                }
-                sb_srv.poll(&mut net, now);
-            }
-            for r in relays.iter_mut() {
-                r.poll(&mut net, now);
-            }
-            for d in net.advance_to(now) {
-                // Fencing audit: after promotion, nothing carrying a
-                // pre-promotion epoch may reach anyone (epoch 0 marks
-                // epoch-less unit-test fixtures, never a served reply).
-                if let Some(pe) = promoted_epoch {
-                    match &d.message {
-                        Wire::Header(h) if h.epoch > 0 && h.epoch < pe => {
-                            stale_epoch_replies += 1;
-                        }
-                        Wire::Segment(seg) if seg.epoch > 0 && seg.epoch < pe => {
-                            stale_epoch_replies += 1;
-                        }
-                        _ => {}
-                    }
-                }
-                if d.dst == server.node() {
-                    if !redirect.intercept(&mut net, d.src, &d.message) {
-                        server.on_message(&mut net, d.time, d.src, d.message);
-                    }
-                } else if standby.as_ref().is_some_and(|(sb, _, _)| *sb == d.dst) {
-                    let (_, sb_srv, monitor) = standby.as_mut().expect("checked above");
-                    match d.message {
-                        // Heartbeat answers feed the failure detector.
-                        Wire::Pong { .. } => monitor.on_pong(d.time),
-                        msg => {
-                            // Post-promotion the standby is the front
-                            // door, so the redirect manager intercepts
-                            // Plays exactly as it did at the old origin.
-                            if !redirect.intercept(&mut net, d.src, &msg) {
-                                sb_srv.on_message(&mut net, d.time, d.src, msg);
-                            }
+                for fault in injector.poll(net, now) {
+                    faults_applied += 1;
+                    // A crashed relay strands its students until the
+                    // redirect manager re-homes them; the wire is already
+                    // dark, so the redirects ride out through the
+                    // (healthy) origin links.
+                    if let Fault::NodeDown { node } = fault {
+                        if tree.relays.contains(&node) {
+                            reattached += tier.redirect.fail_relay(net, node).len();
+                        } else if node == tree.origin {
+                            // The crash wipes the origin's volatile
+                            // session state; only the journal already
+                            // replicated to the standby survives it.
+                            tier.server.crash();
                         }
                     }
-                } else if let Some(c) = clients.iter_mut().find(|c| c.node() == d.dst) {
-                    // A relay bouncing a student names no alternate (it
-                    // only knows itself); the redirect manager fills one
-                    // in so the bounce lands on the least-loaded sibling
-                    // instead of a blind wait-and-retry.
-                    let msg = match d.message {
-                        Wire::Busy {
-                            retry_after,
-                            alternate: None,
-                        } if tree.relays.contains(&d.src) => Wire::Busy {
-                            retry_after,
-                            alternate: redirect.reassign_busy(d.dst, d.src),
-                        },
-                        m => m,
-                    };
-                    c.on_message(d.time, msg);
-                } else if let Some(r) = relays.iter_mut().find(|r| r.node() == d.dst) {
-                    r.on_message(&mut net, d.time, d.src, d.message);
                 }
-            }
-            for (i, c) in clients.iter_mut().enumerate() {
-                if !started[i] {
-                    continue;
-                }
-                events.extend(c.tick(now));
-                c.poll_adaptive(&mut net);
-                c.poll_redirect(&mut net);
-                c.poll_busy(&mut net, now);
-                c.poll_recovery(&mut net, now);
-            }
-            if started.iter().all(|&s| s) && clients.iter().all(|c| c.is_done()) {
+            });
+            if tier.done() {
                 break;
             }
             now += STEP;
         }
 
-        let session_ticks = events.iter().map(|e| e.wall_time).max().unwrap_or(0);
-        let mut cache = CacheStats::default();
-        let mut metrics = RelayMetrics::default();
-        for r in &relays {
-            cache += r.cache().stats();
-            metrics += r.metrics();
-        }
-        let recoveries: Vec<u64> = clients
-            .iter()
-            .flat_map(|c| c.recovery_log().iter().map(|&(_, dur)| dur))
-            .collect();
-        let failover = standby.map(|(_, sb_srv, _)| {
-            let standby_metrics = sb_srv.metrics();
-            FailoverReport {
-                promoted_at,
-                epoch: sb_srv.epoch(),
-                sessions_migrated: standby_metrics.sessions_migrated,
-                checkpoints_replicated,
-                stale_epoch_replies,
-                standby: standby_metrics,
-            }
-        });
+        let (cache, metrics) = tier.relay_totals();
         let report = WmpsReport {
-            clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&clients, &events),
-            classroom_spread: classroom_spread(&events),
-            session_ticks,
-            server: server.metrics(),
+            clients: tier.clients.iter().map(|c| *c.metrics()).collect(),
+            skew: per_client_skew(&tier.clients, &tier.events),
+            classroom_spread: classroom_spread(&tier.events),
+            session_ticks: tier.events.iter().map(|e| e.wall_time).max().unwrap_or(0),
+            server: tier.server.metrics(),
             origin_egress_bytes: net.egress_bytes(tree.origin),
             relay: Some(RelayTierReport {
                 cache,
                 metrics,
                 reattached,
             }),
-            recoveries,
+            recoveries: recoveries(&tier.clients),
             faults_applied,
-            failover,
+            failover: tier.failover_report(),
         };
-        publish_run_metrics(&obs, &report);
+        publish_run_metrics(obs, &report);
         report
     }
 
@@ -875,10 +671,7 @@ impl Wmps {
             server: server.metrics(),
             origin_egress_bytes: net.egress_bytes(s),
             relay: None,
-            recoveries: clients
-                .iter()
-                .flat_map(|c| c.recovery_log().iter().map(|&(_, dur)| dur))
-                .collect(),
+            recoveries: recoveries(&clients),
             faults_applied: 0,
             failover: None,
         }

@@ -410,7 +410,9 @@ pub struct EventRecord {
     pub event: Event,
 }
 
-fn escape_into(out: &mut String, s: &str) {
+/// Appends `s` to `out` as the body of a JSON string, escaping quotes
+/// and backslashes — the JSONL writers' one escaping rule.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -51,8 +51,12 @@ pub struct TraceCtx {
     pub origin: u64,
 }
 
-/// The splitmix64 mixing function — the repo-wide deterministic hash.
-fn splitmix64(x: u64) -> u64 {
+/// Sebastiano Vigna's splitmix64 finalizer: the repo-wide deterministic
+/// hash behind trace sampling, retry jitter, video decimation and the
+/// fault engine's per-datagram verdicts — a cheap, high-quality mixer
+/// that needs no stateful RNG.
+#[inline]
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -393,6 +397,11 @@ fn nearest_rank(sorted: &[u64], permille: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn known_answer_for_splitmix64() {
+        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
+    }
 
     fn span(at: u64, open: bool, node: u64, peer: u64, hop: &str, seg: u64) -> EventRecord {
         let (lecture, segment) = (7, seg);

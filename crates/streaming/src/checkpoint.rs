@@ -58,16 +58,6 @@ pub struct JournalEntry {
     pub ckpt: SessionCheckpoint,
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c => out.push(c),
-        }
-    }
-}
-
 impl JournalEntry {
     /// Serializes the entry as one flat JSON object (no trailing
     /// newline). Field order is fixed, so equal entries always produce
@@ -81,7 +71,7 @@ impl JournalEntry {
             "{{\"at\":{},\"client\":{},\"content\":\"",
             self.at, c.client
         );
-        escape_into(&mut out, &c.content);
+        lod_obs::escape_into(&mut out, &c.content);
         let _ = write!(
             out,
             "\",\"next_packet\":{},\"effective_bps\":{},\"keep_num\":{},\"keep_den\":{},\
@@ -301,7 +291,7 @@ impl StandbyState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::retry::splitmix64;
+    use lod_obs::splitmix64;
 
     /// Deterministic checkpoint generator for the property-style tests:
     /// no proptest dependency, just a seeded splitmix64 stream.

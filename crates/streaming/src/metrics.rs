@@ -57,6 +57,13 @@ impl ClientMetrics {
             .checked_div(playback_ticks)
             .unwrap_or(0)
     }
+
+    /// Whether the student actually saw the lecture: media rendered and
+    /// the retry layer never gave up. An abandoned session also ends in
+    /// the client's `Done` state, so "done" alone does not imply this.
+    pub fn completed(&self) -> bool {
+        self.samples_rendered > 0 && !self.abandoned
+    }
 }
 
 /// What a server did over its lifetime.
@@ -123,5 +130,20 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(wedged.rebuffer_permille(u64::MAX), 1);
+    }
+
+    #[test]
+    fn an_abandoned_session_is_not_completed_even_after_rendering() {
+        let watched = ClientMetrics {
+            samples_rendered: 120,
+            ..Default::default()
+        };
+        assert!(watched.completed());
+        let abandoned = ClientMetrics {
+            abandoned: true,
+            ..watched
+        };
+        assert!(!abandoned.completed());
+        assert!(!ClientMetrics::default().completed(), "nothing rendered");
     }
 }

@@ -8,6 +8,7 @@
 //! schedules are a pure function of the simulation seed and every chaos
 //! drill replays byte for byte.
 
+use lod_obs::splitmix64;
 use serde::{Deserialize, Serialize};
 
 /// When and how often to retry an unanswered request.
@@ -72,16 +73,6 @@ impl RetryPolicy {
     pub fn allows(&self, attempt: u32) -> bool {
         attempt <= self.max_retries
     }
-}
-
-/// Fixed-key mixer (Sebastiano Vigna's splitmix64 finalizer): a cheap,
-/// high-quality hash used to derive jitter — and the server's video
-/// decimation decisions — without a stateful RNG.
-pub(crate) fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// When a [`CircuitBreaker`] trips and how long it stays open.

@@ -1243,9 +1243,8 @@ impl StreamingServer {
                             // fragment of one video sample shares
                             // (stream, pres_time), so samples are dropped
                             // whole and survivors stay reassemblable.
-                            let h = crate::retry::splitmix64(
-                                pl.pres_time ^ (u64::from(pl.stream) << 48),
-                            );
+                            let h =
+                                lod_obs::splitmix64(pl.pres_time ^ (u64::from(pl.stream) << 48));
                             return h % den < num;
                         }
                         true

@@ -34,7 +34,7 @@ pub mod udp;
 
 use lod_simnet::{Delivery, Network, NetworkError, NodeId};
 
-pub use fault::{FaultAction, FaultEngine, FaultSpec, FaultyTransport};
+pub use fault::{FaultAction, FaultEngine, FaultSpec};
 pub use frame::{
     decode_frame, encode_frame, encode_frame_with_flags, mark_retransmit, CodecError, FrameHeader,
     Reader, WireCodec, FLAG_CONTROL, FLAG_RELIABLE, FLAG_RETRANSMIT, FRAME_HEADER_BYTES,

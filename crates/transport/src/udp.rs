@@ -255,21 +255,10 @@ impl<M: WireCodec> UdpTransport<M> {
     ///
     /// # Errors
     ///
-    /// [`io::Error`] when the bind fails.
+    /// [`io::Error`] when the bind fails or the socket cannot be made
+    /// nonblocking.
     pub fn bind(node: NodeId, addr: SocketAddr, cfg: UdpConfig) -> io::Result<Self> {
-        Self::from_socket(node, UdpSocket::bind(addr)?, cfg)
-    }
-
-    /// Wraps an already-bound socket. This is how multi-threaded
-    /// harnesses work: bind every node's socket up front (a `UdpSocket`
-    /// is `Send`), share the address table, then build each node's
-    /// transport inside its own thread (the transport itself holds a
-    /// thread-local `Recorder` and is deliberately not `Send`).
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] when the socket cannot be made nonblocking.
-    pub fn from_socket(node: NodeId, socket: UdpSocket, cfg: UdpConfig) -> io::Result<Self> {
+        let socket = UdpSocket::bind(addr)?;
         socket.set_nonblocking(true)?;
         let local_addr = socket.local_addr()?;
         let pacer = (cfg.pace_rate_bps > 0)
@@ -348,20 +337,6 @@ impl<M: WireCodec> UdpTransport<M> {
     /// leaves a real sequence gap for the repair sublayer to NACK.
     pub fn set_egress_faults(&mut self, spec: FaultSpec) {
         self.fault = Some(FaultEngine::new(spec));
-    }
-
-    /// Aggregated sender-side repair counters across peers.
-    pub fn repair_tx_stats(&self) -> crate::repair::RepairTxStats {
-        let mut total = crate::repair::RepairTxStats::default();
-        for tx in self.repair_tx.values() {
-            let s = tx.stats();
-            total.retransmits += s.retransmits;
-            total.suppressed_duplicates += s.suppressed_duplicates;
-            total.give_ups += s.give_ups;
-            total.unbuffered_nacks += s.unbuffered_nacks;
-            total.evicted_frames += s.evicted_frames;
-        }
-        total
     }
 
     /// Aggregated receiver-side repair counters across peers.
@@ -469,8 +444,7 @@ impl<M: WireCodec> UdpTransport<M> {
             // Every datagram rolls the same dice, reliable-flagged or
             // not: this stage models the physical network, and a kernel
             // dropping a UDP datagram does not consult application
-            // flags. (The message-level `FaultyTransport` wrapper is
-            // the one that mirrors simnet's reliable-send exemption.)
+            // flags.
             if let (Some(engine), Some(dst)) = (self.fault.as_mut(), dst) {
                 match engine.action(now, self.node, dst) {
                     FaultAction::Deliver => {}

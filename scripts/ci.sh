@@ -3,11 +3,12 @@
 # warnings denied, the full workspace test suite (unit + doctests), the
 # chaos-drill determinism gate — two separate processes must emit
 # byte-identical Q9 reports, because the whole simulation is seeded and
-# HashMap-order bugs only show up across processes — and the perf
-# trajectory gate, which re-runs the Q14/Q15/Q16/Q17 benches and
-# compares their "tracked" integer values against the committed
-# BENCH_q14.json / BENCH_q15.json / BENCH_q16.json / BENCH_q17.json
-# baselines (±15%, i.e. 150 permille; see perf_gate).
+# HashMap-order bugs only show up across processes — the benchmark
+# selftest (perfbench/ builds against the workspace and its checks
+# pass), and the perf trajectory gate, which re-runs the Q14/Q15/Q16/Q17
+# benches and compares their "tracked" integer values against the
+# committed BENCH_q14.json / BENCH_q15.json / BENCH_q16.json /
+# BENCH_q17.json baselines (±15%, i.e. 150 permille; see perf_gate).
 # Everything runs offline; external deps resolve to the third_party/ stubs.
 #
 # Perf-gate self-test: before trusting any real comparison, the stage
@@ -39,7 +40,7 @@ cargo test -q --offline --workspace
 
 echo "===== loopback UDP deployment (real sockets, hard timeout) ====="
 # The transport tier on actual kernel sockets: origin + 2 relays + 32
-# clients as threads on 127.0.0.1 must complete a lecture with zero
+# clients, one 127.0.0.1 socket each, must complete a lecture with zero
 # abandoned sessions and sample counts reconciling with simnet. The
 # test is #[ignore]d (wall-clock + sockets) and invoked explicitly
 # here; the timeout turns a stuck socket into a fast failure instead
@@ -59,6 +60,17 @@ echo "===== loopback UDP lossy chaos (repair on/off, hard timeout) ====="
 timeout 300 cargo test -q --offline --release -p lod-core --test loopback_chaos -- --ignored \
     || { echo "FAIL: lossy chaos drill did not pass (or timed out)"; exit 1; }
 echo "chaos drill passed"
+
+echo "===== benchmark selftest (perfbench builds and its checks pass) ====="
+# perfbench/ is a Cargo package outside the workspace, so the workspace
+# build never notices when a lod-core change breaks the API it pins. The
+# selftest builds it, runs every workload untraced and traced on seed
+# 11, and fails unless every output check passes — including that the
+# benchmark's replica of the relay-tier loop still yields exactly
+# serve_with_relays' per-client ClientMetrics.
+python3 perfbench/run.py --selftest \
+    || { echo "FAIL: benchmark selftest (build break or output check failed)"; exit 1; }
+echo "benchmark selftest passed"
 
 echo "===== q9_chaos determinism (two runs, byte-identical reports) ====="
 tmpdir="$(mktemp -d)"
