@@ -28,7 +28,7 @@ use lod_streaming::wire::Wire;
 use lod_streaming::{ClientMetrics, RetryPolicy, ServerMetrics};
 use lod_transport::{FaultSpec, ReorderStats, Transport, TransportStats, UdpConfig, UdpTransport};
 
-use crate::tier::{Tier, TierNodes};
+use crate::tier::{Content, Tier, TierNodes};
 use crate::wmps::RelayTierConfig;
 
 /// Knobs for a [`serve_loopback_udp`] run.
@@ -263,8 +263,8 @@ pub fn serve_loopback_udp(file: AsfFile, cfg: &LoopbackConfig) -> LoopbackReport
             .collect(),
         standby: None,
     };
-    let mut tier =
-        Tier::new(&tier_cfg, nodes, file, RETRY_SEED).with_segment_packets(cfg.segment_packets);
+    let mut tier = Tier::new(&tier_cfg, nodes, Content::Vod(file), RETRY_SEED)
+        .with_segment_packets(cfg.segment_packets);
 
     let epoch = Instant::now();
     loop {

@@ -1,8 +1,10 @@
 //! The origin → relay → student tier, built once and driven one step at
 //! a time over any [`Transport`].
 //!
-//! [`crate::Wmps::serve_with_relays`] drives it over the simulated
-//! network, adding its chaos plan between arrivals and the origin poll;
+//! Every simnet deployment in [`crate::Wmps`] drives it over the
+//! simulated network: the relay tier adds its chaos plan between
+//! arrivals and the origin poll, the live classroom its encoder pump,
+//! and the direct replays run it with zero relays.
 //! [`crate::serve_loopback_udp`] drives it over real localhost UDP
 //! sockets on a paced wall clock. Both backends run the same state
 //! machines in the same order through the same [`Tier::step`].
@@ -11,7 +13,7 @@ use lod_asf::AsfFile;
 use lod_obs::{Event, Recorder};
 use lod_relay::{CacheStats, HeartbeatMonitor, RedirectManager, RelayMetrics, RelayNode};
 use lod_simnet::{Delivery, NodeId};
-use lod_streaming::{RenderEvent, StreamingClient, StreamingServer, Wire};
+use lod_streaming::{LiveFeed, RenderEvent, StreamingClient, StreamingServer, Wire};
 use lod_transport::Transport;
 
 use crate::wmps::{FailoverReport, RelayTierConfig};
@@ -23,6 +25,17 @@ pub(crate) struct TierNodes {
     pub students: Vec<NodeId>,
     /// Present iff [`RelayTierConfig::failover`] is armed.
     pub standby: Option<NodeId>,
+}
+
+/// What the origin serves. The names it is published under, `"lecture"`
+/// and `"live"`, travel in every Play, so they are wire bytes.
+pub(crate) enum Content {
+    /// A stored lecture, also cached by the relays and replicated to the
+    /// standby.
+    Vod(AsfFile),
+    /// A broadcast fed while the tier runs; it has no relays and no
+    /// standby.
+    Live(LiveFeed),
 }
 
 /// What a node index is to the tier: the dispatch table's entries.
@@ -44,7 +57,7 @@ struct Standby {
 /// Every state machine of one relay-tier session plus the bookkeeping
 /// of stepping them.
 pub(crate) struct Tier {
-    origin: NodeId,
+    pub origin: NodeId,
     pub server: StreamingServer,
     standby: Option<Standby>,
     relays: Vec<RelayNode>,
@@ -85,19 +98,18 @@ fn origin_server(node: NodeId, cfg: &RelayTierConfig, relays: &[NodeId]) -> Stre
 }
 
 impl Tier {
-    /// Builds the tier serving `file` as "lecture". Student `i` arrives
-    /// per `cfg.arrival_wave` and, with `cfg.client_retry`, salts its
-    /// retry jitter from `seed` so a rerun retries identically.
-    pub fn new(cfg: &RelayTierConfig, nodes: TierNodes, file: AsfFile, seed: u64) -> Self {
+    /// Builds the tier serving `content`. Student `i` arrives per
+    /// `cfg.arrival_wave` and, with `cfg.client_retry`, salts its retry
+    /// jitter from `seed` so a rerun retries identically.
+    pub fn new(cfg: &RelayTierConfig, nodes: TierNodes, content: Content, seed: u64) -> Self {
         let obs = cfg.recorder.clone();
         let mut server = origin_server(nodes.origin, cfg, &nodes.relays);
         // The warm standby: same catalog, same knobs, zero sessions. It
         // applies the replicated checkpoint journal every step and
         // answers nothing until promoted (Plays bounce toward the
         // primary).
-        let standby = nodes.standby.zip(cfg.failover).map(|(node, f)| {
-            let mut server = origin_server(node, cfg, &nodes.relays).as_standby();
-            server.publish("lecture", file.clone());
+        let mut standby = nodes.standby.zip(cfg.failover).map(|(node, f)| {
+            let server = origin_server(node, cfg, &nodes.relays).as_standby();
             let monitor = HeartbeatMonitor::new(node, nodes.origin, f).with_recorder(obs.clone());
             Standby {
                 node,
@@ -105,7 +117,23 @@ impl Tier {
                 monitor,
             }
         });
-        server.publish("lecture", file);
+        let name = match content {
+            Content::Vod(file) => {
+                if let Some(sb) = standby.as_mut() {
+                    sb.server.publish("lecture", file.clone());
+                }
+                server.publish("lecture", file);
+                "lecture"
+            }
+            Content::Live(feed) => {
+                assert!(
+                    nodes.relays.is_empty() && standby.is_none(),
+                    "a live tier runs without relays or a standby"
+                );
+                server.publish_live("live", feed);
+                "live"
+            }
+        };
         let relays = nodes
             .relays
             .iter()
@@ -120,7 +148,7 @@ impl Tier {
                 if let Some(b) = cfg.breaker {
                     relay = relay.with_breaker(b);
                 }
-                relay.serve_vod("lecture");
+                relay.serve_vod(name);
                 relay
             })
             .collect();
@@ -133,8 +161,7 @@ impl Tier {
             .iter()
             .enumerate()
             .map(|(i, &c)| {
-                let client =
-                    StreamingClient::new(c, nodes.origin, "lecture").with_recorder(obs.clone());
+                let client = StreamingClient::new(c, nodes.origin, name).with_recorder(obs.clone());
                 match cfg.client_retry {
                     // Per-student salt: distinct jitter streams, same seed
                     // → same storm of retries on every run.
@@ -334,9 +361,12 @@ impl Tier {
         }
     }
 
-    /// Every student has arrived and finished (or given up).
+    /// Every student has arrived and finished (or given up), and no live
+    /// broadcast is still on air.
     pub fn done(&self) -> bool {
-        self.started.iter().all(|&s| s) && self.clients.iter().all(StreamingClient::is_done)
+        self.started.iter().all(|&s| s)
+            && self.clients.iter().all(StreamingClient::is_done)
+            && !self.server.on_air()
     }
 
     /// Cache accounting and service counters summed over every relay.

@@ -17,13 +17,13 @@ use lod_simnet::{
     relay_tree, Fault, FaultInjector, FaultPlan, LinkSpec, Network, NodeId, RelayTree,
 };
 use lod_streaming::{
-    run_to_completion, AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed,
-    RetryPolicy, ServerMetrics, StreamHeader, StreamingClient, StreamingServer, Wire,
+    AdmissionPolicy, BreakerPolicy, ClientMetrics, DegradePolicy, LiveFeed, RetryPolicy,
+    ServerMetrics, StreamHeader, StreamingClient, Wire,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::presentation::Lecture;
-use crate::tier::{Tier, TierNodes};
+use crate::tier::{Content, Tier, TierNodes};
 
 /// Quality outcome of one served replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -476,16 +476,18 @@ impl Wmps {
         n_clients: usize,
         seed: u64,
     ) -> WmpsReport {
-        self.serve_with_topology(file, n_clients, seed, |net, s, clients| {
-            for &c in clients {
-                net.connect_bidirectional(s, c, link);
-            }
-        })
+        let horizon = file.props.play_duration * 20 + 600_000_000_000;
+        let mut net: Network<Wire> = Network::new(seed);
+        let nodes = direct_star(&mut net, n_clients, link);
+        let mut tier = Tier::new(&RelayTierConfig::default(), nodes, Content::Vod(file), seed);
+        drive(&mut net, &mut tier, horizon, |_, _, _| {});
+        tier_report(&tier, &net)
     }
 
     /// Serves `file` to `n_clients` sitting behind one shared `uplink`
     /// (server → campus router) with per-student `access` links — the
-    /// topology a real lecture server faces.
+    /// topology a real lecture server faces: the relay tier with no
+    /// relays.
     pub fn serve_shared_uplink(
         &self,
         file: AsfFile,
@@ -494,17 +496,14 @@ impl Wmps {
         n_clients: usize,
         seed: u64,
     ) -> WmpsReport {
-        self.serve_with_topology(file, n_clients, seed, |net, s, clients| {
-            let router = net.add_node("router");
-            net.connect(s, router, uplink);
-            net.connect(router, s, uplink);
-            for &c in clients {
-                net.connect(router, c, access);
-                net.connect(c, router, access);
-                net.set_next_hop(s, c, router);
-                net.set_next_hop(c, s, router);
-            }
-        })
+        let cfg = RelayTierConfig {
+            relays: 0,
+            ..RelayTierConfig::default()
+        };
+        WmpsReport {
+            relay: None,
+            ..self.serve_with_relays(file, uplink, access, n_clients, seed, &cfg)
+        }
     }
 
     /// Serves `file` through an edge-relay tier: origin → campus router →
@@ -571,110 +570,56 @@ impl Wmps {
             students: tree.students.clone(),
             standby,
         };
-        let mut tier = Tier::new(cfg, nodes, file, seed);
+        let mut tier = Tier::new(cfg, nodes, Content::Vod(file), seed);
         let mut injector = FaultInjector::new(cfg.chaos.resolve(&tree)).with_recorder(obs.clone());
 
-        const STEP: u64 = 1_000_000; // 100 ms
         let horizon = play_duration * 20 + 600_000_000_000;
-        let mut now = 0u64;
         let mut reattached = 0usize;
         let mut faults_applied = 0u64;
         let mut failed = false;
-        while now <= horizon {
-            tier.step(&mut net, now, |tier, net| {
-                if let Some(at) = cfg.fail_first_at {
-                    if !failed && now >= at && !tree.relays.is_empty() {
-                        // The relay drops off the network; the manager
-                        // re-homes its students.
-                        let victim = tree.relays[0];
-                        net.disconnect(tree.router, victim);
-                        net.disconnect(victim, tree.router);
-                        reattached = tier.redirect.fail_relay(net, victim).len();
-                        failed = true;
-                    }
+        drive(&mut net, &mut tier, horizon, |tier, net, now| {
+            if let Some(at) = cfg.fail_first_at {
+                if !failed && now >= at && !tree.relays.is_empty() {
+                    // The relay drops off the network; the manager
+                    // re-homes its students.
+                    let victim = tree.relays[0];
+                    net.disconnect(tree.router, victim);
+                    net.disconnect(victim, tree.router);
+                    reattached = tier.redirect.fail_relay(net, victim).len();
+                    failed = true;
                 }
-                for fault in injector.poll(net, now) {
-                    faults_applied += 1;
-                    // A crashed relay strands its students until the
-                    // redirect manager re-homes them; the wire is already
-                    // dark, so the redirects ride out through the
-                    // (healthy) origin links.
-                    if let Fault::NodeDown { node } = fault {
-                        if tree.relays.contains(&node) {
-                            reattached += tier.redirect.fail_relay(net, node).len();
-                        } else if node == tree.origin {
-                            // The crash wipes the origin's volatile
-                            // session state; only the journal already
-                            // replicated to the standby survives it.
-                            tier.server.crash();
-                        }
-                    }
-                }
-            });
-            if tier.done() {
-                break;
             }
-            now += STEP;
-        }
+            for fault in injector.poll(net, now) {
+                faults_applied += 1;
+                // A crashed relay strands its students until the
+                // redirect manager re-homes them; the wire is already
+                // dark, so the redirects ride out through the
+                // (healthy) origin links.
+                if let Fault::NodeDown { node } = fault {
+                    if tree.relays.contains(&node) {
+                        reattached += tier.redirect.fail_relay(net, node).len();
+                    } else if node == tree.origin {
+                        // The crash wipes the origin's volatile
+                        // session state; only the journal already
+                        // replicated to the standby survives it.
+                        tier.server.crash();
+                    }
+                }
+            }
+        });
 
         let (cache, metrics) = tier.relay_totals();
         let report = WmpsReport {
-            clients: tier.clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&tier.clients, &tier.events),
-            classroom_spread: classroom_spread(&tier.events),
-            session_ticks: tier.events.iter().map(|e| e.wall_time).max().unwrap_or(0),
-            server: tier.server.metrics(),
-            origin_egress_bytes: net.egress_bytes(tree.origin),
             relay: Some(RelayTierReport {
                 cache,
                 metrics,
                 reattached,
             }),
-            recoveries: recoveries(&tier.clients),
             faults_applied,
-            failover: tier.failover_report(),
+            ..tier_report(&tier, &net)
         };
         publish_run_metrics(obs, &report);
         report
-    }
-
-    fn serve_with_topology(
-        &self,
-        file: AsfFile,
-        n_clients: usize,
-        seed: u64,
-        wire_up: impl FnOnce(&mut Network<Wire>, lod_simnet::NodeId, &[lod_simnet::NodeId]),
-    ) -> WmpsReport {
-        let play_duration = file.props.play_duration;
-        let mut net: Network<Wire> = Network::new(seed);
-        let s = net.add_node("server");
-        let mut server = StreamingServer::new(s);
-        server.publish("lecture", file);
-        let nodes: Vec<lod_simnet::NodeId> = (0..n_clients)
-            .map(|i| net.add_node(format!("student{i}")))
-            .collect();
-        wire_up(&mut net, s, &nodes);
-        let mut clients: Vec<StreamingClient> = nodes
-            .into_iter()
-            .map(|c| StreamingClient::new(c, s, "lecture"))
-            .collect();
-        let mut refs: Vec<&mut StreamingClient> = clients.iter_mut().collect();
-        let horizon = play_duration * 20 + 600_000_000_000;
-        let events = run_to_completion(&mut net, &mut server, &mut refs, horizon);
-        let session_ticks = events.iter().map(|e| e.wall_time).max().unwrap_or(0);
-
-        WmpsReport {
-            clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&clients, &events),
-            classroom_spread: classroom_spread(&events),
-            session_ticks,
-            server: server.metrics(),
-            origin_egress_bytes: net.egress_bytes(s),
-            relay: None,
-            recoveries: recoveries(&clients),
-            faults_applied: 0,
-            failover: None,
-        }
     }
 
     /// The live classroom: a teacher encodes `secs` seconds of lecture in
@@ -734,73 +679,93 @@ impl Wmps {
             epoch: 0,
         };
         let mut net: Network<Wire> = Network::new(seed);
-        let s = net.add_node("server");
-        let mut server = StreamingServer::new(s);
-        server.publish_live("live", LiveFeed::new(header));
-        let mut clients: Vec<StreamingClient> = (0..n_clients)
-            .map(|i| {
-                let c = net.add_node(format!("student{i}"));
-                net.connect_bidirectional(s, c, link);
-                StreamingClient::new(c, s, "live")
-            })
-            .collect();
-        for c in clients.iter_mut() {
-            c.start(&mut net);
-        }
-
-        const STEP: u64 = 1_000_000; // 100 ms
-        let live_end = secs * 10_000_000;
+        let nodes = direct_star(&mut net, n_clients, link);
+        let feed = Content::Live(LiveFeed::new(header));
+        let mut tier = Tier::new(&RelayTierConfig::default(), nodes, feed, seed);
+        let live_end = live_end(secs);
+        let mut commands = commands.to_vec();
+        commands.sort_by_key(|c| c.time);
+        let mut commands = commands.into_iter().peekable();
         let horizon = live_end * 4 + 600_000_000_000;
-        let mut now = 0u64;
-        let mut events = Vec::new();
-        let mut ended = false;
-        let mut commands_sorted: Vec<lod_asf::ScriptCommand> = commands.to_vec();
-        commands_sorted.sort_by_key(|c| c.time);
-        let mut next_cmd = 0usize;
-        while now <= horizon {
-            if now <= live_end {
-                for p in encoder.pump(Ticks(now)) {
-                    server.live_feed("live").expect("feed published").push(p);
-                }
-                while next_cmd < commands_sorted.len() && commands_sorted[next_cmd].time <= now {
-                    server
-                        .live_feed("live")
-                        .expect("feed published")
-                        .push_script(commands_sorted[next_cmd].clone());
-                    next_cmd += 1;
-                }
-            } else if !ended {
-                server.live_feed("live").expect("feed published").end();
-                ended = true;
+        let now = drive(&mut net, &mut tier, horizon, |tier, _, now| {
+            let feed = tier.server.live_feed("live").expect("feed published");
+            if now > live_end {
+                feed.end();
+                return;
             }
-            server.poll(&mut net, now);
-            for d in net.advance_to(now) {
-                if d.dst == server.node() {
-                    server.on_message(&mut net, d.time, d.src, d.message);
-                } else if let Some(c) = clients.iter_mut().find(|c| c.node() == d.dst) {
-                    c.on_message(d.time, d.message);
-                }
+            for p in encoder.pump(Ticks(now)) {
+                feed.push(p);
             }
-            for c in clients.iter_mut() {
-                events.extend(c.tick(now));
+            while let Some(cmd) = commands.next_if(|c| c.time <= now) {
+                feed.push_script(cmd);
             }
-            if ended && clients.iter().all(|c| c.is_done()) {
-                break;
-            }
-            now += STEP;
-        }
+        });
         WmpsReport {
-            clients: clients.iter().map(|c| *c.metrics()).collect(),
-            skew: per_client_skew(&clients, &events),
-            classroom_spread: classroom_spread(&events),
             session_ticks: now,
-            server: server.metrics(),
-            origin_egress_bytes: net.egress_bytes(s),
-            relay: None,
-            recoveries: Vec::new(),
-            faults_applied: 0,
-            failover: None,
+            ..tier_report(&tier, &net)
         }
+    }
+}
+
+/// Tick a `secs`-second broadcast stops encoding at. Script commands
+/// timed later never reach the class.
+fn live_end(secs: u64) -> u64 {
+    secs * 10_000_000
+}
+
+/// `n_clients` students wired straight to one origin over `link`.
+fn direct_star(net: &mut Network<Wire>, n_clients: usize, link: LinkSpec) -> TierNodes {
+    let origin = net.add_node("server");
+    let students = (0..n_clients)
+        .map(|i| {
+            let c = net.add_node(format!("student{i}"));
+            net.connect_bidirectional(origin, c, link);
+            c
+        })
+        .collect();
+    TierNodes {
+        origin,
+        relays: Vec::new(),
+        students,
+        standby: None,
+    }
+}
+
+/// Steps `tier` every 100 ms from tick 0, running `hook` inside each
+/// step between arrivals and the origin poll, until the tier is done or
+/// `horizon` passes. Returns the tick it stopped at.
+fn drive(
+    net: &mut Network<Wire>,
+    tier: &mut Tier,
+    horizon: u64,
+    mut hook: impl FnMut(&mut Tier, &mut Network<Wire>, u64),
+) -> u64 {
+    const STEP: u64 = 1_000_000; // 100 ms
+    let mut now = 0u64;
+    while now <= horizon {
+        tier.step(net, now, |tier, net| hook(tier, net, now));
+        if tier.done() {
+            break;
+        }
+        now += STEP;
+    }
+    now
+}
+
+/// The report of a finished tier: no relay tier and no faults, which
+/// the callers that have them override.
+fn tier_report(tier: &Tier, net: &Network<Wire>) -> WmpsReport {
+    WmpsReport {
+        clients: tier.clients.iter().map(|c| *c.metrics()).collect(),
+        skew: per_client_skew(&tier.clients, &tier.events),
+        classroom_spread: classroom_spread(&tier.events),
+        session_ticks: tier.events.iter().map(|e| e.wall_time).max().unwrap_or(0),
+        server: tier.server.metrics(),
+        origin_egress_bytes: net.egress_bytes(tier.origin),
+        relay: None,
+        recoveries: recoveries(&tier.clients),
+        faults_applied: 0,
+        failover: tier.failover_report(),
     }
 }
 
@@ -869,7 +834,12 @@ impl Wmps {
             .collect();
         let session =
             self.live_classroom_with_script(profile, secs, n_clients, link, seed, &commands);
-        let spoken = commands.iter().map(|c| c.param.clone()).collect();
+        // A grant after the broadcast ended was never pushed to the class.
+        let spoken = commands
+            .iter()
+            .filter(|c| c.time <= live_end(secs))
+            .map(|c| c.param.clone())
+            .collect();
         QnaReport {
             session,
             floor,
@@ -967,6 +937,32 @@ mod tests {
         }
         // All three annotations reached at least two clients together.
         assert_eq!(report.session.classroom_spread.count, 3);
+    }
+
+    #[test]
+    fn qna_lists_only_questions_relayed_before_the_broadcast_ends() {
+        let second = 10_000_000u64;
+        // Three 5 s questions raised at 0 are granted at 0, 5 and 10 s;
+        // the 8 s broadcast has ended before the third.
+        let questions: Vec<Question> = (1..=3)
+            .map(|user| Question {
+                user,
+                at: 0,
+                hold: 5 * second,
+                text: format!("question {user}"),
+            })
+            .collect();
+        let report = Wmps::new().classroom_qna(
+            BandwidthProfile::by_name("dual ISDN (128k)").unwrap(),
+            8,
+            3,
+            LinkSpec::lan(),
+            8,
+            &questions,
+        );
+        assert_eq!(report.floor.grants.len(), 3);
+        assert_eq!(report.spoken.len(), 2, "{:?}", report.spoken);
+        assert_eq!(report.spoken.len(), report.session.classroom_spread.count);
     }
 
     #[test]

@@ -51,6 +51,32 @@ pub struct TraceCtx {
     pub origin: u64,
 }
 
+impl TraceCtx {
+    /// One edge of `hop` for this traced segment: [`Event::SpanOpen`]
+    /// when `open`, else the matching [`Event::SpanClose`]. `node` runs
+    /// the hop; `peer` is its other endpoint (== `node` for local hops).
+    pub fn span(self, open: bool, node: u64, peer: u64, hop: &str) -> Event {
+        let (hop, lecture, segment) = (hop.to_string(), self.lecture, self.segment);
+        if open {
+            Event::SpanOpen {
+                node,
+                peer,
+                hop,
+                lecture,
+                segment,
+            }
+        } else {
+            Event::SpanClose {
+                node,
+                peer,
+                hop,
+                lecture,
+                segment,
+            }
+        }
+    }
+}
+
 /// Sebastiano Vigna's splitmix64 finalizer: the repo-wide deterministic
 /// hash behind trace sampling, retry jitter, video decimation and the
 /// fault engine's per-datagram verdicts — a cheap, high-quality mixer
@@ -404,26 +430,15 @@ mod tests {
     }
 
     fn span(at: u64, open: bool, node: u64, peer: u64, hop: &str, seg: u64) -> EventRecord {
-        let (lecture, segment) = (7, seg);
+        let ctx = TraceCtx {
+            lecture: 7,
+            segment: seg,
+            seq: 0,
+            origin: 0,
+        };
         EventRecord {
             at,
-            event: if open {
-                Event::SpanOpen {
-                    node,
-                    peer,
-                    hop: hop.into(),
-                    lecture,
-                    segment,
-                }
-            } else {
-                Event::SpanClose {
-                    node,
-                    peer,
-                    hop: hop.into(),
-                    lecture,
-                    segment,
-                }
-            },
+            event: ctx.span(open, node, peer, hop),
         }
     }
 

@@ -1051,27 +1051,13 @@ mod tests {
     }
 
     fn span_rec(at: u64, open: bool, node: u64, peer: u64, hop: &str) -> EventRecord {
-        let (lecture, segment) = (11, 4);
-        rec(
-            at,
-            if open {
-                Event::SpanOpen {
-                    node,
-                    peer,
-                    hop: hop.into(),
-                    lecture,
-                    segment,
-                }
-            } else {
-                Event::SpanClose {
-                    node,
-                    peer,
-                    hop: hop.into(),
-                    lecture,
-                    segment,
-                }
-            },
-        )
+        let ctx = crate::TraceCtx {
+            lecture: 11,
+            segment: 4,
+            seq: 0,
+            origin: 0,
+        };
+        rec(at, ctx.span(open, node, peer, hop))
     }
 
     #[test]

@@ -31,29 +31,6 @@ use crate::cache::{CachedSegment, SegmentCache};
 /// answers). Real segment indices never reach 2^31.
 const TIME_FETCH_BIT: u32 = 1 << 31;
 
-/// Builds one span edge for the relay's tracing hooks (a plain function
-/// so it can be called while a session is mutably borrowed).
-fn span_event(open: bool, node: u64, peer: u64, hop: &str, ctx: TraceCtx) -> Event {
-    let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-    if open {
-        Event::SpanOpen {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    } else {
-        Event::SpanClose {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    }
-}
-
 /// In-flight key for a time-resolving fetch of presentation time `at`.
 fn time_fetch_key(at: u64) -> u32 {
     // Cheap 64→31 bit mix so distinct seek targets rarely collide.
@@ -474,8 +451,7 @@ impl RelayNode {
                     }
                     if let Some((_, Some(ctx))) = s.fanout {
                         let (node, peer) = (self.node.index() as u64, from.index() as u64);
-                        self.obs
-                            .emit(now, span_event(false, node, peer, "fan_out", ctx));
+                        self.obs.emit(now, ctx.span(false, node, peer, "fan_out"));
                     }
                 }
                 self.sessions.retain(|s| s.client != from);
@@ -804,7 +780,7 @@ impl RelayNode {
             // a retry's answer) lands in `on_segment`.
             let (node, peer) = (self.node.index() as u64, self.origin.index() as u64);
             self.obs
-                .emit(now, span_event(true, node, peer, "relay_fetch", ctx));
+                .emit(now, ctx.span(true, node, peer, "relay_fetch"));
         }
         let req = Wire::Request(ControlRequest::FetchSegment {
             content: content.to_string(),
@@ -895,7 +871,7 @@ impl RelayNode {
             // answer cannot land before the fetch was minted.
             self.obs.emit(
                 now.max(ctx.origin),
-                span_event(false, node, peer, "relay_fetch", ctx),
+                ctx.span(false, node, peer, "relay_fetch"),
             );
         }
         self.metrics.upstream_bytes_received += seg.wire_bytes();
@@ -1077,8 +1053,7 @@ impl RelayNode {
                 if s.next_packet >= meta.total_packets {
                     if let Some((_, Some(ctx))) = s.fanout.take() {
                         let (node, peer) = (self.node.index() as u64, s.client.index() as u64);
-                        self.obs
-                            .emit(now, span_event(false, node, peer, "fan_out", ctx));
+                        self.obs.emit(now, ctx.span(false, node, peer, "fan_out"));
                     }
                     let _ = net.send_reliable(self.node, s.client, 16, Wire::EndOfStream);
                     s.eos_sent = true;
@@ -1144,8 +1119,7 @@ impl RelayNode {
                     // stays untraced.
                     let (node, peer) = (self.node.index() as u64, s.client.index() as u64);
                     if let Some((_, Some(prev))) = s.fanout.take() {
-                        self.obs
-                            .emit(now, span_event(false, node, peer, "fan_out", prev));
+                        self.obs.emit(now, prev.span(false, node, peer, "fan_out"));
                     }
                     let mut ctx = None;
                     if self.trace_permille > 0 {
@@ -1158,8 +1132,7 @@ impl RelayNode {
                                 seq: self.trace_seq,
                                 origin: now,
                             };
-                            self.obs
-                                .emit(now, span_event(true, node, peer, "fan_out", c));
+                            self.obs.emit(now, c.span(true, node, peer, "fan_out"));
                             let mark = Wire::Mark(c);
                             let bytes = mark.wire_bytes(0);
                             let _ = net.send_reliable(self.node, s.client, bytes, mark);
@@ -1767,6 +1740,6 @@ mod tests {
         assert!(obs
             .events()
             .iter()
-            .all(|r| !matches!(r.event, Event::SpanOpen { .. } | Event::SpanClose { .. })));
+            .all(|r| !r.event.kind().starts_with("span_")));
     }
 }

@@ -510,25 +510,7 @@ impl StreamingClient {
         // (Lamport-style) keeps delivery-chain opens monotone.
         let at = at.max(ctx.origin);
         let (node, peer) = (self.node.index() as u64, self.server.index() as u64);
-        let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-        let event = if open {
-            Event::SpanOpen {
-                node,
-                peer,
-                hop,
-                lecture,
-                segment,
-            }
-        } else {
-            Event::SpanClose {
-                node,
-                peer,
-                hop,
-                lecture,
-                segment,
-            }
-        };
-        self.obs.emit(at, event);
+        self.obs.emit(at, ctx.span(open, node, peer, hop));
     }
 
     /// The node this client currently streams from.

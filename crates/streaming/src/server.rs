@@ -629,6 +629,11 @@ impl StreamingServer {
         self.live.insert(name.into(), feed);
     }
 
+    /// Whether a published live feed has not ended yet.
+    pub fn on_air(&self) -> bool {
+        self.live.values().any(|f| !f.ended)
+    }
+
     /// Mutable access to a live feed (the encoder's append point).
     pub fn live_feed(&mut self, name: &str) -> Option<&mut LiveFeed> {
         self.live.get_mut(name)
@@ -816,33 +821,18 @@ impl StreamingServer {
         // tick can lag the mint — the clamp is the Lamport-style repair
         // that keeps delivery-chain opens monotone.
         let span_at = trace.map_or(now, |ctx| now.max(ctx.origin));
+        let (node, peer) = (self.node.index() as u64, relay.index() as u64);
         if let Some(ctx) = trace {
-            self.obs.emit(
-                span_at,
-                Event::SpanOpen {
-                    node: self.node.index() as u64,
-                    peer: relay.index() as u64,
-                    hop: "packetize".to_string(),
-                    lecture: ctx.lecture,
-                    segment: ctx.segment,
-                },
-            );
+            self.obs
+                .emit(span_at, ctx.span(true, node, peer, "packetize"));
         }
         let Some(file) = self.stored.get(content) else {
             let _ = net.send_reliable(self.node, relay, 32, Wire::NotFound(content.to_string()));
             if let Some(ctx) = trace {
                 // The fetch dead-ends here; close the span so the trace
                 // still balances.
-                self.obs.emit(
-                    span_at,
-                    Event::SpanClose {
-                        node: self.node.index() as u64,
-                        peer: relay.index() as u64,
-                        hop: "packetize".to_string(),
-                        lecture: ctx.lecture,
-                        segment: ctx.segment,
-                    },
-                );
+                self.obs
+                    .emit(span_at, ctx.span(false, node, peer, "packetize"));
             }
             return;
         };
@@ -895,16 +885,8 @@ impl StreamingServer {
         self.metrics.segments_served += 1;
         self.metrics.payload_bytes_sent += bytes;
         if let Some(ctx) = trace {
-            self.obs.emit(
-                span_at,
-                Event::SpanClose {
-                    node: self.node.index() as u64,
-                    peer: relay.index() as u64,
-                    hop: "packetize".to_string(),
-                    lecture: ctx.lecture,
-                    segment: ctx.segment,
-                },
-            );
+            self.obs
+                .emit(span_at, ctx.span(false, node, peer, "packetize"));
         }
         let _ = net.send_reliable(self.node, relay, bytes, Wire::Segment(data));
     }

@@ -42,25 +42,7 @@ fn emit_span(obs: &Recorder, at: u64, open: bool, node: u64, peer: u64, hop: &st
     if !obs.is_enabled() {
         return;
     }
-    let (hop, lecture, segment) = (hop.to_string(), ctx.lecture, ctx.segment);
-    let event = if open {
-        Event::SpanOpen {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    } else {
-        Event::SpanClose {
-            node,
-            peer,
-            hop,
-            lecture,
-            segment,
-        }
-    };
-    obs.emit(at, event);
+    obs.emit(at, ctx.span(open, node, peer, hop));
 }
 
 /// Knobs for a [`UdpTransport`].

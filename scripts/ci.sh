@@ -3,7 +3,8 @@
 # warnings denied, the full workspace test suite (unit + doctests), the
 # chaos-drill determinism gate — two separate processes must emit
 # byte-identical Q9 reports, because the whole simulation is seeded and
-# HashMap-order bugs only show up across processes — the benchmark
+# HashMap-order bugs only show up across processes — and its siblings
+# for q5/q6, q10, q11, q12, q16 and q17, the benchmark
 # selftest (perfbench/ builds against the workspace and its checks
 # pass), and the perf trajectory gate, which re-runs the Q14/Q15/Q16/Q17
 # benches and compares their "tracked" integer values against the
@@ -82,6 +83,20 @@ if ! diff "$tmpdir/a.json" "$tmpdir/b.json"; then
     exit 1
 fi
 echo "reports identical"
+
+echo "===== q5_scale / q6_classroom determinism (two runs, byte-identical stdout) ====="
+# The shared-uplink and live-classroom deployments step through the same
+# tier driver as the relay tier; two processes must print the same
+# tables byte for byte.
+for bin in q5_scale q6_classroom; do
+    cargo run -q --offline --release -p lod-bench --bin "$bin" > "$tmpdir/$bin.a"
+    cargo run -q --offline --release -p lod-bench --bin "$bin" > "$tmpdir/$bin.b"
+    if ! diff "$tmpdir/$bin.a" "$tmpdir/$bin.b"; then
+        echo "FAIL: two $bin runs diverged (nondeterminism crept in)"
+        exit 1
+    fi
+done
+echo "tables identical"
 
 echo "===== q10_overload determinism (two runs, byte-identical reports) ====="
 cargo run -q --offline -p lod-bench --bin q10_overload -- --seed 7 --json "$tmpdir/oa.json" > /dev/null
