@@ -51,6 +51,16 @@ pub enum AsfError {
         /// Media object id of the fragment.
         object: u32,
     },
+    /// A fragment declared a sample larger than
+    /// [`crate::packet::MAX_SAMPLE_BYTES`]; nothing was allocated for it.
+    OversizedSample {
+        /// Stream of the fragment.
+        stream: u16,
+        /// Media object id of the fragment.
+        object: u32,
+        /// The declared sample size in bytes.
+        total: u32,
+    },
 }
 
 impl fmt::Display for AsfError {
@@ -80,6 +90,14 @@ impl fmt::Display for AsfError {
             AsfError::FragmentMismatch { stream, object } => write!(
                 f,
                 "inconsistent fragment for stream {stream} object {object}"
+            ),
+            AsfError::OversizedSample {
+                stream,
+                object,
+                total,
+            } => write!(
+                f,
+                "fragment for stream {stream} object {object} declares a {total}-byte sample"
             ),
         }
     }

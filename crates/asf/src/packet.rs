@@ -248,21 +248,72 @@ impl Packetizer {
     }
 }
 
+/// Largest sample a fragment may declare in [`Payload::total`], in bytes.
+///
+/// The reassembler allocates a sample's buffer from the first fragment's
+/// `total`, so this is the most one forged fragment can make a receiver
+/// reserve. It sits far above any sample WMPS publishes (a slide image
+/// is at most ~80 KB, a video frame a few KB); a fragment that claims
+/// more is rejected with [`AsfError::OversizedSample`] before anything
+/// is allocated.
+pub const MAX_SAMPLE_BYTES: u32 = 16 << 20;
+
 /// Rebuilds media samples from packets (loss- and reorder-tolerant).
+///
+/// Samples still missing fragments live in a `Vec` sorted by
+/// `(stream, object_id)` and are found by binary search. A fragment that
+/// carries a whole sample (`offset == 0`, `len == total`) with nothing
+/// pending for it completes at once as a zero-copy view of the fragment.
+/// Delivered object ids are remembered per stream as disjoint id ranges,
+/// so in-order delivery costs one range per stream, not one entry per
+/// sample.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    partial: HashMap<(u16, u32), PartialSample>,
-    finished: std::collections::HashSet<(u16, u32)>,
+    partial: Vec<PartialSample>,
+    finished: Vec<(u16, IdRanges)>,
     complete: Vec<MediaSample>,
 }
 
 #[derive(Debug)]
 struct PartialSample {
+    key: (u16, u32),
     pres_time: u64,
     total: u32,
     received: u32,
     data: Vec<u8>,
     seen: Vec<(u32, u32)>, // (offset, len) received, for duplicate checks
+}
+
+/// A set of `u32` ids kept as sorted, disjoint, non-adjacent inclusive
+/// ranges `(first, last)`. Inclusive bounds keep `u32::MAX` representable
+/// without an overflowing `last + 1`.
+#[derive(Debug, Default)]
+struct IdRanges(Vec<(u32, u32)>);
+
+impl IdRanges {
+    fn contains(&self, id: u32) -> bool {
+        let i = self.0.partition_point(|&(_, last)| last < id);
+        self.0.get(i).is_some_and(|&(first, _)| first <= id)
+    }
+
+    /// Adds `id`, which must not be in the set yet. In-order delivery
+    /// extends the last range.
+    fn insert(&mut self, id: u32) {
+        // Every range before `i` ends below `id`; range `i`, if any,
+        // starts above it.
+        let i = self.0.partition_point(|&(_, last)| last < id);
+        let joins_prev = i > 0 && self.0[i - 1].1 + 1 == id;
+        let joins_next = self.0.get(i).is_some_and(|&(first, _)| first - 1 == id);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.0[i - 1].1 = self.0[i].1;
+                self.0.remove(i);
+            }
+            (true, false) => self.0[i - 1].1 = id,
+            (false, true) => self.0[i].0 = id,
+            (false, false) => self.0.insert(i, (id, id)),
+        }
+    }
 }
 
 impl Reassembler {
@@ -277,7 +328,9 @@ impl Reassembler {
     ///
     /// [`AsfError::FragmentMismatch`] when a fragment contradicts earlier
     /// fragments of the same object (different total or overlapping range
-    /// with different content length bookkeeping).
+    /// with different content length bookkeeping);
+    /// [`AsfError::OversizedSample`] when a fragment opens a sample larger
+    /// than [`MAX_SAMPLE_BYTES`].
     pub fn push_packet(&mut self, packet: &DataPacket) -> Result<(), AsfError> {
         for p in &packet.payloads {
             self.push_payload(p)?;
@@ -287,29 +340,50 @@ impl Reassembler {
 
     fn push_payload(&mut self, p: &Payload) -> Result<(), AsfError> {
         let key = (p.stream, p.object_id);
-        if self.finished.contains(&key) {
+        if self.is_finished(key) {
             // Late or duplicate fragment of an already-delivered sample.
             return Ok(());
         }
-        let entry = self.partial.entry(key).or_insert_with(|| PartialSample {
-            pres_time: p.pres_time,
-            total: p.total,
-            received: 0,
-            data: vec![0; p.total as usize],
-            seen: Vec::new(),
-        });
+        let mismatch = AsfError::FragmentMismatch {
+            stream: p.stream,
+            object: p.object_id,
+        };
+        let idx = match self.partial.binary_search_by_key(&key, |e| e.key) {
+            Ok(i) => i,
+            Err(i) => {
+                if p.total > MAX_SAMPLE_BYTES {
+                    return Err(AsfError::OversizedSample {
+                        stream: p.stream,
+                        object: p.object_id,
+                        total: p.total,
+                    });
+                }
+                if p.offset == 0 && p.data.len() == p.total as usize {
+                    // The whole sample in one fragment: share its bytes.
+                    self.finish(key, p.pres_time, p.data.clone());
+                    return Ok(());
+                }
+                self.partial.insert(
+                    i,
+                    PartialSample {
+                        key,
+                        pres_time: p.pres_time,
+                        total: p.total,
+                        received: 0,
+                        data: vec![0; p.total as usize],
+                        seen: Vec::new(),
+                    },
+                );
+                i
+            }
+        };
+        let entry = &mut self.partial[idx];
         if entry.total != p.total || entry.pres_time != p.pres_time {
-            return Err(AsfError::FragmentMismatch {
-                stream: p.stream,
-                object: p.object_id,
-            });
+            return Err(mismatch);
         }
         let end = p.offset as usize + p.data.len();
         if end > entry.data.len() {
-            return Err(AsfError::FragmentMismatch {
-                stream: p.stream,
-                object: p.object_id,
-            });
+            return Err(mismatch);
         }
         // Ignore exact duplicates (retransmission); reject overlaps.
         if entry.seen.contains(&(p.offset, p.data.len() as u32)) {
@@ -320,31 +394,49 @@ impl Reassembler {
             .iter()
             .any(|&(o, l)| p.offset < o + l && o < p.offset + p.data.len() as u32)
         {
-            return Err(AsfError::FragmentMismatch {
-                stream: p.stream,
-                object: p.object_id,
-            });
+            return Err(mismatch);
         }
         entry.data[p.offset as usize..end].copy_from_slice(&p.data);
         entry.seen.push((p.offset, p.data.len() as u32));
         entry.received += p.data.len() as u32;
         if entry.received >= entry.total {
-            let done = self.partial.remove(&key).expect("entry exists");
-            self.finished.insert(key);
-            self.complete.push(MediaSample {
-                stream: key.0,
-                pres_time: done.pres_time,
-                data: done.data.into(),
-            });
+            let done = self.partial.remove(idx);
+            self.finish(key, done.pres_time, done.data.into());
         }
         Ok(())
     }
 
+    fn is_finished(&self, (stream, id): (u16, u32)) -> bool {
+        self.finished
+            .iter()
+            .any(|(s, ids)| *s == stream && ids.contains(id))
+    }
+
+    fn finish(&mut self, (stream, id): (u16, u32), pres_time: u64, data: Bytes) {
+        match self.finished.iter_mut().find(|(s, _)| *s == stream) {
+            Some((_, ids)) => ids.insert(id),
+            None => self.finished.push((stream, IdRanges(vec![(id, id)]))),
+        }
+        self.complete.push(MediaSample {
+            stream,
+            pres_time,
+            data,
+        });
+    }
+
     /// Drains completed samples, sorted by presentation time then stream.
     pub fn take_completed(&mut self) -> Vec<MediaSample> {
-        let mut out = std::mem::take(&mut self.complete);
-        out.sort_by_key(|s| (s.pres_time, s.stream));
+        let mut out = Vec::new();
+        self.drain_completed_into(&mut out);
         out
+    }
+
+    /// Appends the completed samples to `out` in the order
+    /// [`Reassembler::take_completed`] returns them, keeping both
+    /// buffers' capacity for the next call.
+    pub fn drain_completed_into(&mut self, out: &mut Vec<MediaSample>) {
+        self.complete.sort_by_key(|s| (s.pres_time, s.stream));
+        out.append(&mut self.complete);
     }
 
     /// Number of samples still missing fragments.
@@ -480,6 +572,79 @@ mod tests {
             })
             .unwrap_err();
         assert!(matches!(err, AsfError::FragmentMismatch { .. }));
+    }
+
+    #[test]
+    fn in_order_samples_leave_one_finished_range_per_stream() {
+        let mut pk = Packetizer::new(256).unwrap();
+        for i in 0..200u64 {
+            pk.push(&sample(1, i * 10, 300, 1));
+            pk.push(&sample(2, i * 10, 40, 2));
+        }
+        let mut rs = Reassembler::new();
+        for p in &pk.finish() {
+            rs.push_packet(p).unwrap();
+        }
+        assert_eq!(rs.take_completed().len(), 400);
+        assert_eq!(rs.finished.len(), 2);
+        for (_, ids) in &rs.finished {
+            assert_eq!(ids.0, [(0, 199)]);
+        }
+    }
+
+    #[test]
+    fn finished_ranges_merge_and_hold_the_top_id() {
+        let mut ids = IdRanges::default();
+        for id in [5, 7, u32::MAX, 6, 0, u32::MAX - 1, 4] {
+            assert!(!ids.contains(id));
+            ids.insert(id);
+            assert!(ids.contains(id));
+        }
+        assert_eq!(ids.0, [(0, 0), (4, 7), (u32::MAX - 1, u32::MAX)]);
+        assert!(!ids.contains(3) && !ids.contains(8));
+    }
+
+    #[test]
+    fn whole_sample_fragment_is_shared_not_copied() {
+        let s = sample(1, 0, 100, 0x11);
+        let mut pk = Packetizer::new(512).unwrap();
+        pk.push(&s);
+        let mut rs = Reassembler::new();
+        for p in &pk.finish() {
+            rs.push_packet(p).unwrap();
+        }
+        let got = rs.take_completed();
+        assert_eq!(got.len(), 1);
+        assert_eq!(got[0], s);
+        assert_eq!(got[0].data.backing_id(), s.data.backing_id());
+    }
+
+    #[test]
+    fn oversized_total_rejected_before_allocating() {
+        let mut rs = Reassembler::new();
+        let forged = Payload {
+            stream: 1,
+            object_id: 3,
+            offset: 8,
+            total: u32::MAX,
+            pres_time: 0,
+            data: vec![0; 8].into(),
+        };
+        let err = rs
+            .push_packet(&DataPacket {
+                send_time: 0,
+                payloads: vec![forged],
+            })
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            AsfError::OversizedSample {
+                stream: 1,
+                object: 3,
+                total: u32::MAX
+            }
+        ));
+        assert_eq!(rs.incomplete(), 0);
     }
 
     #[test]

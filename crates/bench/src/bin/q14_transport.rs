@@ -76,7 +76,7 @@ fn big_segment() -> Wire {
             }],
         })
         .collect();
-    Wire::Segment(lod_streaming::wire::SegmentData {
+    Wire::Segment(Box::new(lod_streaming::wire::SegmentData {
         content: "lecture".into(),
         segment: 5,
         base_packet: 160,
@@ -90,7 +90,7 @@ fn big_segment() -> Wire {
         at_time: Some(7_000_000),
         epoch: 1,
         trace: None,
-    })
+    }))
 }
 
 fn main() {

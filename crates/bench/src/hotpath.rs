@@ -52,7 +52,7 @@ pub fn origin_segment() -> Wire {
     let mut packets = pk.finish();
     packets.truncate(SEGMENT_PACKETS as usize);
     assert_eq!(packets.len(), SEGMENT_PACKETS as usize);
-    Wire::Segment(SegmentData {
+    Wire::Segment(Box::new(SegmentData {
         content: "lecture".into(),
         segment: 5,
         base_packet: 160,
@@ -66,5 +66,5 @@ pub fn origin_segment() -> Wire {
         at_time: Some(7_000_000),
         epoch: 1,
         trace: None,
-    })
+    }))
 }

@@ -365,7 +365,7 @@ impl RelayNode {
         if from == self.origin {
             match msg {
                 Wire::Segment(seg) => self.on_segment(net, now, seg),
-                Wire::Header(h) => self.on_live_header(net, now, h),
+                Wire::Header(h) => self.on_live_header(net, now, *h),
                 Wire::Data(p) => self.on_live_data(now, p),
                 Wire::Script(c) => self.on_live_script(c),
                 Wire::EndOfStream => self.on_live_eos(),
@@ -561,7 +561,7 @@ impl RelayNode {
         let (pacer, header_sent, next_packet, pending_time) = match known_header {
             Some(header) => {
                 let bytes = header.wire_bytes();
-                let msg = Wire::Header(header.clone());
+                let msg = Wire::Header(Box::new(header.clone()));
                 let _ = net.send_reliable(self.node, client, bytes, msg);
                 if start == 0 {
                     (Self::session_pacer(&header), true, 0, None)
@@ -614,7 +614,7 @@ impl RelayNode {
         let (pacer, header_sent) = match &feed.header {
             Some(h) => {
                 let bytes = h.wire_bytes();
-                let msg = Wire::Header(h.clone());
+                let msg = Wire::Header(Box::new(h.clone()));
                 let _ = net.send_reliable(self.node, client, bytes, msg);
                 (Self::session_pacer(h), true)
             }
@@ -863,7 +863,7 @@ impl RelayNode {
         }
     }
 
-    fn on_segment(&mut self, net: &mut impl Transport<Wire>, now: u64, mut seg: SegmentData) {
+    fn on_segment(&mut self, net: &mut impl Transport<Wire>, now: u64, mut seg: Box<SegmentData>) {
         self.breaker_success(now);
         if let Some(ctx) = seg.trace {
             let (node, peer) = (self.node.index() as u64, self.origin.index() as u64);
@@ -928,7 +928,12 @@ impl RelayNode {
             if !s.header_sent {
                 if let Some(h) = &header {
                     let bytes = h.wire_bytes();
-                    let _ = net.send_reliable(self.node, s.client, bytes, Wire::Header(h.clone()));
+                    let _ = net.send_reliable(
+                        self.node,
+                        s.client,
+                        bytes,
+                        Wire::Header(Box::new(h.clone())),
+                    );
                     s.pacer = Self::session_pacer(h);
                     s.header_sent = true;
                 }
@@ -957,7 +962,12 @@ impl RelayNode {
         for sub in &mut feed.subs {
             if !sub.header_sent {
                 let bytes = h.wire_bytes();
-                let _ = net.send_reliable(self.node, sub.client, bytes, Wire::Header(h.clone()));
+                let _ = net.send_reliable(
+                    self.node,
+                    sub.client,
+                    bytes,
+                    Wire::Header(Box::new(h.clone())),
+                );
                 sub.pacer = Self::session_pacer(&h);
                 sub.header_sent = true;
             }

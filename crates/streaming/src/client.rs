@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use lod_asf::{AsfError, MediaSample, Reassembler, ScriptCommand, ScriptCommandList};
+use lod_asf::{MediaSample, Reassembler, ScriptCommand, ScriptCommandList};
 use lod_media::{MediaClock, Ticks};
 use lod_obs::{Event, Recorder, TraceCtx};
 use lod_simnet::NodeId;
@@ -82,7 +82,13 @@ pub struct StreamingClient {
     state: ClientState,
     header: Option<StreamHeader>,
     reasm: Reassembler,
-    buffer: BTreeMap<(u64, u16, u64), MediaSample>,
+    /// Samples drained from `reasm`, reused across messages.
+    completed: Vec<MediaSample>,
+    /// Playout buffer keyed `(pres_time, stream, buffer_seq)`, kept in
+    /// key order. An insert scans back from the tail, O(1) when samples
+    /// complete in presentation order (the common case); rendering pops
+    /// the front.
+    buffer: VecDeque<((u64, u16, u64), MediaSample)>,
     buffer_seq: u64,
     clock: MediaClock,
     scripts: ScriptCommandList,
@@ -136,7 +142,8 @@ impl StreamingClient {
             state: ClientState::Idle,
             header: None,
             reasm: Reassembler::new(),
-            buffer: BTreeMap::new(),
+            completed: Vec::new(),
+            buffer: VecDeque::new(),
             buffer_seq: 0,
             clock: MediaClock::start_at(Ticks::ZERO),
             scripts: ScriptCommandList::new(),
@@ -254,7 +261,7 @@ impl StreamingClient {
         // Already-buffered samples of dropped streams would still render;
         // clear them so the downgrade is immediate on screen too.
         self.buffer
-            .retain(|&(_, stream, _), _| fallback.contains(&stream));
+            .retain(|((_, stream, _), _)| fallback.contains(stream));
     }
 
     /// The client's network node.
@@ -398,7 +405,7 @@ impl StreamingClient {
                         self.scripts.push(c.clone());
                     }
                 }
-                self.header = Some(h);
+                self.header = Some(*h);
                 // Admitted after all: cancel any scheduled busy retry.
                 self.busy_until = None;
             }
@@ -406,14 +413,15 @@ impl StreamingClient {
                 self.scripts.push(c);
             }
             Wire::Data(p) => {
-                match self.reasm.push_packet(&p) {
-                    Ok(()) => {}
-                    Err(AsfError::FragmentMismatch { .. }) => {
-                        self.metrics.samples_lost += 1;
-                    }
-                    Err(_) => {}
+                // A fragment that contradicts its sample's earlier
+                // fragments (FragmentMismatch) or declares an oversized
+                // sample (OversizedSample) costs that sample.
+                if self.reasm.push_packet(&p).is_err() {
+                    self.metrics.samples_lost += 1;
                 }
-                for s in self.reasm.take_completed() {
+                let mut completed = std::mem::take(&mut self.completed);
+                self.reasm.drain_completed_into(&mut completed);
+                for s in completed.drain(..) {
                     self.metrics.bytes_received += s.data.len() as u64;
                     self.horizon = self.horizon.max(s.pres_time);
                     self.arrival_log.push((time, s.pres_time, s.stream));
@@ -427,9 +435,15 @@ impl StreamingClient {
                         self.emit_span(time, true, "playout_wait", ctx);
                         self.playout_traces.insert(self.buffer_seq, ctx);
                     }
-                    self.buffer
-                        .insert((s.pres_time, s.stream, self.buffer_seq), s);
+                    let key = (s.pres_time, s.stream, self.buffer_seq);
+                    let at = self
+                        .buffer
+                        .iter()
+                        .rposition(|(k, _)| *k < key)
+                        .map_or(0, |i| i + 1);
+                    self.buffer.insert(at, (key, s));
                 }
+                self.completed = completed;
             }
             Wire::EndOfStream => {
                 self.eos = true;
@@ -717,13 +731,13 @@ impl StreamingClient {
                         );
                     }
                     self.state = ClientState::Playing;
-                    out.extend(self.render_due(now));
+                    self.render_due(now, &mut out);
                 } else if self.eos && self.buffer.is_empty() {
                     self.finish(now);
                 }
             }
             ClientState::Playing => {
-                out.extend(self.render_due(now));
+                self.render_due(now, &mut out);
                 let media_now = self.media_time(now);
                 // Underrun means playback has caught up with everything
                 // received so far, not merely an empty buffer between
@@ -758,7 +772,7 @@ impl StreamingClient {
                     );
                     self.clock.resume(Ticks(now));
                     self.state = ClientState::Playing;
-                    out.extend(self.render_due(now));
+                    self.render_due(now, &mut out);
                 }
             }
         }
@@ -785,15 +799,16 @@ impl StreamingClient {
         );
     }
 
-    fn render_due(&mut self, now: u64) -> Vec<RenderEvent> {
+    /// Renders every buffered sample and script command due by `now`
+    /// into `out`.
+    fn render_due(&mut self, now: u64, out: &mut Vec<RenderEvent>) {
         let media_now = self.media_time(now);
-        let mut out = Vec::new();
-        while let Some((&key, _)) = self.buffer.iter().next() {
-            if key.0 > media_now {
+        while let Some(&((pres_time, _, seq), _)) = self.buffer.front() {
+            if pres_time > media_now {
                 break;
             }
-            let sample = self.buffer.remove(&key).expect("key just observed");
-            if let Some(ctx) = self.playout_traces.remove(&key.2) {
+            let (_, sample) = self.buffer.pop_front().expect("front just observed");
+            if let Some(ctx) = self.playout_traces.remove(&seq) {
                 self.emit_span(now, false, "playout_wait", ctx);
             }
             self.metrics.samples_rendered += 1;
@@ -807,18 +822,15 @@ impl StreamingClient {
             });
         }
         // Fire script commands the playout clock has crossed: everything
-        // up to media_now on the first call, then the half-open window.
-        let due: Vec<ScriptCommand> = match self.scripts_fired_to {
-            None => self
-                .scripts
-                .commands()
-                .iter()
-                .filter(|c| c.time <= media_now)
-                .cloned()
-                .collect(),
-            Some(prev) => self.scripts.fired_between(prev, media_now).to_vec(),
+        // up to media_now on the first call (a prefix, as the list is
+        // time-sorted), then the half-open window.
+        let due = match self.scripts_fired_to {
+            None => {
+                let all = self.scripts.commands();
+                &all[..all.partition_point(|c| c.time <= media_now)]
+            }
+            Some(prev) => self.scripts.fired_between(prev, media_now),
         };
-        self.scripts_fired_to = Some(media_now);
         for c in due {
             out.push(RenderEvent {
                 wall_time: now,
@@ -826,10 +838,10 @@ impl StreamingClient {
                 stream: 0,
                 pres_time: c.time,
                 bytes: 0,
-                script: Some(c),
+                script: Some(c.clone()),
             });
         }
-        out
+        self.scripts_fired_to = Some(media_now);
     }
 }
 
@@ -1119,6 +1131,51 @@ mod tests {
         // The flip fires when the playout clock crosses it, i.e. at or
         // after its own media time relative to the first render.
         assert!(flips[1].wall_time >= flips[0].wall_time + 40_000_000);
+    }
+
+    #[test]
+    fn out_of_order_samples_render_in_presentation_order() {
+        use lod_asf::{DataPacket, Payload};
+        let (mut net, _server, mut client) = world(LinkSpec::lan());
+        client.start(&mut net);
+        let base = test_file(1, 1);
+        client.on_message(
+            0,
+            Wire::Header(Box::new(StreamHeader {
+                props: base.props,
+                streams: base.streams,
+                script: ScriptCommandList::new(),
+                drm: None,
+                epoch: 0,
+            })),
+        );
+        // Samples complete out of presentation order (a reordered path,
+        // a late fragment); the buffer must still render them in order.
+        for (object_id, pres_time) in [(2u32, 20u64), (0, 0), (3, 30), (1, 10)] {
+            let payload = Payload {
+                stream: 1,
+                object_id,
+                offset: 0,
+                total: 4,
+                pres_time,
+                data: vec![1; 4].into(),
+            };
+            client.on_message(
+                0,
+                Wire::Data(DataPacket {
+                    send_time: 0,
+                    payloads: vec![payload],
+                }),
+            );
+        }
+        client.on_message(0, Wire::EndOfStream);
+        let rendered: Vec<u64> = [1, 1_000]
+            .into_iter()
+            .flat_map(|t| client.tick(t))
+            .map(|e| e.pres_time)
+            .collect();
+        assert_eq!(rendered, [0, 10, 20, 30]);
+        assert!(client.is_done());
     }
 
     #[test]

@@ -435,7 +435,7 @@ impl WireCodec for Wire {
     fn decode_wire(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(match r.u8()? {
             WIRE_REQUEST => Wire::Request(read_request(r)?),
-            WIRE_HEADER => Wire::Header(read_header(r)?),
+            WIRE_HEADER => Wire::Header(Box::new(read_header(r)?)),
             WIRE_DATA => Wire::Data(read_packet(r)?),
             WIRE_SCRIPT => Wire::Script(read_script_command(r)?),
             WIRE_EOS => Wire::EndOfStream,
@@ -455,7 +455,7 @@ impl WireCodec for Wire {
                 }
                 let header = read_opt_header(r)?;
                 let start_packet = if r.bool()? { Some(r.u32()?) } else { None };
-                Wire::Segment(SegmentData {
+                Wire::Segment(Box::new(SegmentData {
                     content,
                     segment,
                     base_packet,
@@ -469,7 +469,7 @@ impl WireCodec for Wire {
                     at_time: read_opt_u64(r)?,
                     epoch: r.u64()?,
                     trace: read_opt_trace(r)?,
-                })
+                }))
             }
             WIRE_REDIRECT => Wire::Redirect { to: read_node(r)? },
             WIRE_BUSY => {
@@ -708,12 +708,12 @@ mod tests {
     fn arb_wire() -> impl Strategy<Value = Wire> {
         prop_oneof![
             arb_request().prop_map(Wire::Request),
-            arb_header().prop_map(Wire::Header),
+            arb_header().prop_map(|h| Wire::Header(Box::new(h))),
             arb_packet().prop_map(Wire::Data),
             arb_script_command().prop_map(Wire::Script),
             Just(Wire::EndOfStream),
             "[ -~]{0,24}".prop_map(Wire::NotFound),
-            arb_segment().prop_map(Wire::Segment),
+            arb_segment().prop_map(|s| Wire::Segment(Box::new(s))),
             arb_node().prop_map(|to| Wire::Redirect { to }),
             (any::<u64>(), opt(arb_node())).prop_map(|(retry_after, alternate)| Wire::Busy {
                 retry_after,
@@ -760,7 +760,7 @@ mod tests {
                     }],
                 })
                 .collect();
-            let w = Wire::Segment(SegmentData {
+            let w = Wire::Segment(Box::new(SegmentData {
                 content: "lecture".into(),
                 segment: 3,
                 base_packet: 48,
@@ -779,7 +779,7 @@ mod tests {
                     seq: 9,
                     origin: 1_000,
                 }),
-            });
+            }));
             prop_assert_eq!(round_trip(&w), w);
         }
 
@@ -831,7 +831,7 @@ mod tests {
 
     #[test]
     fn truncated_segment_is_rejected() {
-        let w = Wire::Segment(SegmentData {
+        let w = Wire::Segment(Box::new(SegmentData {
             content: "lec".into(),
             segment: 0,
             base_packet: 0,
@@ -848,7 +848,7 @@ mod tests {
             at_time: None,
             epoch: 0,
             trace: None,
-        });
+        }));
         let bytes = w.to_frame_payload();
         for cut in 1..bytes.len() {
             assert!(

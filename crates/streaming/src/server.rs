@@ -888,7 +888,7 @@ impl StreamingServer {
             self.obs
                 .emit(span_at, ctx.span(false, node, peer, "packetize"));
         }
-        let _ = net.send_reliable(self.node, relay, bytes, Wire::Segment(data));
+        let _ = net.send_reliable(self.node, relay, bytes, Wire::Segment(Box::new(data)));
     }
 
     fn start_session(
@@ -1003,7 +1003,7 @@ impl StreamingServer {
             .filter(|st| st.kind == StreamKind::Video)
             .map(|st| u64::from(st.bitrate))
             .sum();
-        let _ = net.send_reliable(self.node, client, bytes, Wire::Header(header));
+        let _ = net.send_reliable(self.node, client, bytes, Wire::Header(Box::new(header)));
         self.metrics.sessions_served += 1;
         if start == 0 {
             self.metrics.plays_from_zero += 1;

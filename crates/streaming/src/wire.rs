@@ -131,12 +131,17 @@ impl SegmentData {
 }
 
 /// All messages on the wire.
+///
+/// Every delivery moves a `Wire` by value (through the simulator's queue,
+/// the tier dispatch and each node's message handler), so the enum is
+/// kept small: a variant whose payload is much larger than the rest is
+/// boxed, as [`Wire::Header`] and [`Wire::Segment`] are.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Wire {
     /// A control request (client → server).
     Request(ControlRequest),
     /// Header metadata (server → client, first response to Play).
-    Header(StreamHeader),
+    Header(Box<StreamHeader>),
     /// One data packet (server → client).
     Data(DataPacket),
     /// A script command added to a live stream after the header went out
@@ -149,7 +154,7 @@ pub enum Wire {
     NotFound(String),
     /// One cached/pulled packet segment (origin → relay), answering
     /// [`ControlRequest::FetchSegment`].
-    Segment(SegmentData),
+    Segment(Box<SegmentData>),
     /// Go talk to this node instead (redirect manager → client): the
     /// answer to a Play when an edge relay should carry the session, and
     /// the re-attach instruction when a relay fails mid-lecture.
@@ -285,7 +290,20 @@ mod tests {
             with_header,
             48 + 2 * 256 + seg.header.as_ref().unwrap().wire_bytes()
         );
-        assert_eq!(Wire::Segment(seg).wire_bytes(256), with_header);
+        assert_eq!(Wire::Segment(Box::new(seg)).wire_bytes(256), with_header);
+    }
+
+    #[test]
+    fn wire_stays_small() {
+        // Every delivery moves a `Wire` by value through the simulator's
+        // queue, the tier dispatch and `on_message`; a large new variant
+        // must be boxed (as `Header` and `Segment` are) rather than grow
+        // every message.
+        assert!(
+            std::mem::size_of::<Wire>() <= 96,
+            "Wire is {} bytes",
+            std::mem::size_of::<Wire>()
+        );
     }
 
     #[test]

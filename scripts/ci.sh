@@ -4,7 +4,7 @@
 # chaos-drill determinism gate — two separate processes must emit
 # byte-identical Q9 reports, because the whole simulation is seeded and
 # HashMap-order bugs only show up across processes — and its siblings
-# for q5/q6, q10, q11, q12, q16 and q17, the benchmark
+# for q5/q6/q8, q10, q11, q12, q16 and q17, the benchmark
 # selftest (perfbench/ builds against the workspace and its checks
 # pass), and the perf trajectory gate, which re-runs the Q14/Q15/Q16/Q17
 # benches and compares their "tracked" integer values against the
@@ -84,11 +84,12 @@ if ! diff "$tmpdir/a.json" "$tmpdir/b.json"; then
 fi
 echo "reports identical"
 
-echo "===== q5_scale / q6_classroom determinism (two runs, byte-identical stdout) ====="
+echo "===== q5_scale / q6_classroom / q8_relay determinism (two runs, byte-identical stdout) ====="
 # The shared-uplink and live-classroom deployments step through the same
-# tier driver as the relay tier; two processes must print the same
+# tier driver as the relay tier, and q8 drives that tier's relay fan-out
+# and its relay-failure re-home drill; two processes must print the same
 # tables byte for byte.
-for bin in q5_scale q6_classroom; do
+for bin in q5_scale q6_classroom q8_relay; do
     cargo run -q --offline --release -p lod-bench --bin "$bin" > "$tmpdir/$bin.a"
     cargo run -q --offline --release -p lod-bench --bin "$bin" > "$tmpdir/$bin.b"
     if ! diff "$tmpdir/$bin.a" "$tmpdir/$bin.b"; then
